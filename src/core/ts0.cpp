@@ -28,20 +28,18 @@ scan::TestSet make_ts0(const netlist::Netlist& nl, const Ts0Config& cfg) {
   return ts;
 }
 
-std::uint64_t Ts0Cache::circuit_digest_locked(const netlist::Netlist& nl) {
-  auto& slot = digests_[&nl];
-  if (slot == 0) slot = store::digest_circuit(nl);
-  return slot;
-}
-
 std::shared_ptr<const scan::TestSet> Ts0Cache::get(const netlist::Netlist& nl,
                                                    const Ts0Config& cfg,
                                                    fault::Engine engine,
                                                    RunContext* ctx) {
+  // Digest the content on every call, outside the lock: a netlist's
+  // address says nothing about its content once the caller may destroy
+  // one circuit and build another in the same storage.
+  const std::uint64_t circuit = store::digest_circuit(nl);
   std::lock_guard lk(mu_);
   // Key the engine's artifact identity: kPacked shares kConeDiff's sets
   // (bit-identical results), so either engine hits the other's entries.
-  const Key key{circuit_digest_locked(nl),
+  const Key key{circuit,
                 cfg.l_a,
                 cfg.l_b,
                 cfg.n,

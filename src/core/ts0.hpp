@@ -73,11 +73,9 @@ class Ts0Cache {
  private:
   using Key = std::tuple<std::uint64_t, std::size_t, std::size_t, std::size_t,
                          std::uint64_t, std::uint8_t>;
-  std::uint64_t circuit_digest_locked(const netlist::Netlist& nl);
 
   mutable std::mutex mu_;
   std::map<Key, std::shared_ptr<const scan::TestSet>> cache_;
-  std::map<const netlist::Netlist*, std::uint64_t> digests_;
   const store::CampaignStore* store_ = nullptr;
   std::size_t hits_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <unordered_set>
 
 namespace rls::svc {
 
@@ -17,6 +18,10 @@ class Parser {
     skip_ws();
     expect('{');
     JsonObject obj;
+    // Linear duplicate detection: a line may carry up to --max-line-bytes
+    // of fields, so comparing each key with every earlier one is not an
+    // option.
+    std::unordered_set<std::string> seen;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
@@ -24,8 +29,8 @@ class Parser {
       for (;;) {
         skip_ws();
         std::string key = string();
-        for (const auto& [existing, unused] : obj) {
-          if (existing == key) fail("duplicate field \"" + key + "\"");
+        if (!seen.insert(key).second) {
+          fail("duplicate field \"" + key + "\"");
         }
         skip_ws();
         expect(':');

@@ -111,9 +111,12 @@ std::string CancelLine::canonical_json() const {
   return out;
 }
 
-CampaignRequest parse_request(std::string_view text,
-                              const std::string& origin) {
-  const JsonObject obj = parse_json_object(text, origin);
+namespace {
+
+/// The request half of parse_request(), over an already-parsed object, so
+/// parse_line() parses each wire line exactly once.
+CampaignRequest request_from_object(const JsonObject& obj,
+                                    const std::string& origin) {
   CampaignRequest req;
   std::optional<std::uint32_t> schema;
   for (const auto& [name, value] : obj) {
@@ -218,6 +221,13 @@ CampaignRequest parse_request(std::string_view text,
   return req;
 }
 
+}  // namespace
+
+CampaignRequest parse_request(std::string_view text,
+                              const std::string& origin) {
+  return request_from_object(parse_json_object(text, origin), origin);
+}
+
 ParsedLine parse_line(std::string_view text, const std::string& origin) {
   ParsedLine line;
   const JsonObject obj = parse_json_object(text, origin);
@@ -225,7 +235,7 @@ ParsedLine parse_line(std::string_view text, const std::string& origin) {
       std::any_of(obj.begin(), obj.end(),
                   [](const auto& f) { return f.first == "cancel"; });
   if (!is_cancel) {
-    line.request = parse_request(text, origin);
+    line.request = request_from_object(obj, origin);
     return line;
   }
   CancelLine cancel;

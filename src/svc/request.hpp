@@ -98,7 +98,8 @@ struct ParsedLine {
 /// Parses one input line, dispatching on the presence of a "cancel"
 /// field: `{"cancel":...}` objects parse as CancelLine (strict: no other
 /// fields besides the optional "schema"), everything else as a
-/// CampaignRequest via parse_request().
+/// CampaignRequest under parse_request()'s rules. The line's JSON is
+/// parsed once either way.
 ParsedLine parse_line(std::string_view text, const std::string& origin);
 
 /// Execution identity for single-flight coalescing: the FNV-1a digest of

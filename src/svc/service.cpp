@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "gen/registry.hpp"
 #include "netlist/bench_io.hpp"
 #include "store/checkpoint.hpp"
+#include "store/serde.hpp"
 
 namespace rls::svc {
 
@@ -30,15 +32,14 @@ class StringSink final : public obs::TraceSink {
   std::string out_;
 };
 
-netlist::Netlist load_circuit(const std::string& which) {
-  if (gen::is_known_circuit(which)) return gen::make_circuit(which);
-  if (!std::ifstream(which).good()) {
+netlist::Netlist load_bench(const std::string& path) {
+  if (!std::ifstream(path).good()) {
     throw RequestError(
-        "'" + which +
+        "'" + path +
         "' is neither a known circuit (see `rls list`) nor a readable "
         ".bench file");
   }
-  return netlist::load_bench_file(which);
+  return netlist::load_bench_file(path);
 }
 
 CampaignResponse error_response(RequestId id, std::string what,
@@ -255,6 +256,83 @@ bool CampaignService::step(unsigned /*worker*/) {
   return true;
 }
 
+CampaignService::WorkbenchPtr CampaignService::workbench(
+    const CampaignRequest& req) {
+  // A registry circuit is a pure function of its name. A .bench file is
+  // keyed by the content of this request's fresh parse, so an edited file
+  // never hits a stale entry.
+  std::optional<netlist::Netlist> parsed;
+  std::uint64_t digest = 0;
+  if (!gen::is_known_circuit(req.circuit)) {
+    parsed.emplace(load_bench(req.circuit));
+    digest = store::digest_circuit(*parsed);
+  }
+  const atpg::DetectabilityOptions& det = req.options.detect;
+  const WorkbenchKey key{parsed ? std::string() : req.circuit,
+                         digest,
+                         det.random_rounds,
+                         det.seed,
+                         det.backtrack_limit,
+                         req.options.prune_untestable};
+  std::promise<WorkbenchBuild> built;
+  std::uint64_t build = 0;
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    const auto [it, inserted] = workbenches_.try_emplace(key);
+    it->second.last_use = ++workbench_clock_;
+    if (!inserted) {
+      counters_.add("svc.workbench_hits", 1);
+      const std::shared_future<WorkbenchBuild> borrowed = it->second.built;
+      lk.unlock();
+      // Waits on an in-flight build. A failed build hands its waiters its
+      // error text rather than one exception object that several worker
+      // threads would rethrow and release at once.
+      const WorkbenchBuild& b = borrowed.get();
+      if (!b.workbench) throw std::runtime_error(b.error);
+      return b.workbench;
+    }
+    it->second.built = built.get_future().share();
+    it->second.build = build = workbench_clock_;
+    counters_.add("svc.workbench_builds", 1);
+    if (workbenches_.size() > kMaxCachedWorkbenches) {
+      const auto lru = std::min_element(
+          workbenches_.begin(), workbenches_.end(),
+          [](const auto& a, const auto& b) {
+            return a.second.last_use < b.second.last_use;
+          });
+      workbenches_.erase(lru);
+      counters_.add("svc.workbench_evictions", 1);
+    }
+  }
+  const auto fail = [&](std::string error) {
+    {
+      // Uncache before waking the waiters, so a retry builds afresh; an
+      // entry with another build tick replaced this one after eviction.
+      std::lock_guard<std::mutex> lk(mu_);
+      const auto it = workbenches_.find(key);
+      if (it != workbenches_.end() && it->second.build == build) {
+        workbenches_.erase(it);
+      }
+    }
+    built.set_value({nullptr, std::move(error)});
+  };
+  try {
+    WorkbenchPtr wb =
+        parsed ? std::make_shared<const core::Workbench>(std::move(*parsed),
+                                                         req.options)
+               : std::make_shared<const core::Workbench>(req.circuit,
+                                                         req.options);
+    built.set_value({wb, {}});
+    return wb;
+  } catch (const std::exception& e) {
+    fail(e.what());
+    throw;
+  } catch (...) {
+    fail("unknown Workbench build error");
+    throw;
+  }
+}
+
 CampaignResponse CampaignService::execute(const Execution& ex) {
   CampaignResponse resp;
   try {
@@ -273,7 +351,8 @@ CampaignResponse CampaignService::execute(const Execution& ex) {
     StringSink sink;
     ctx.set_sink(&sink);
 
-    core::Workbench wb(load_circuit(ex.req.circuit), ctx.options);
+    const WorkbenchPtr borrowed = workbench(ex.req);
+    const core::Workbench& wb = *borrowed;
     if (ctx.options.prune_untestable && wb.sta_report() != nullptr) {
       // Thread the sta prune mask into every Procedure 2 invocation (the
       // speculative sweep's children share the same Procedure2Options),

@@ -32,6 +32,15 @@
 // always runs to completion (coalescing semantics stay intact, and a
 // claimed run always reaches its terminal checkpoint).
 //
+// Workbench cache: an execution borrows its circuit's core::Workbench
+// (netlist, compiled circuit, classified target faults) from a
+// per-service LRU cache of immutable Workbenches instead of re-running the
+// random PPSFP + PODEM classification for every request. Builds are
+// single-flight; see workbench() below. svc.workbench_builds / _hits /
+// _evictions count it on counters() only, never on a request's own
+// registry, so a stream and its envelope are the same bytes whether the
+// Workbench was built or borrowed.
+//
 // Determinism: executions run with wall-clock stamping off unless the
 // request opts in, so a response stream is byte-identical to a solo
 // `rls run` of the same options against the same store state.
@@ -42,11 +51,13 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -55,6 +66,10 @@
 #include "sim/worker_pool.hpp"
 #include "store/artifact_store.hpp"
 #include "svc/request.hpp"
+
+namespace rls::core {
+class Workbench;
+}  // namespace rls::core
 
 namespace rls::svc {
 
@@ -101,6 +116,12 @@ class ServiceStoppedError : public std::runtime_error {
 
 class CampaignService {
  public:
+  /// Workbench cache capacity; the least recently used entry beyond it is
+  /// evicted. The registry has 25 circuits and the largest Workbench
+  /// (s35932) is 6.8 MB of heap, so one entry per circuit under default
+  /// options always fits.
+  static constexpr std::size_t kMaxCachedWorkbenches = 32;
+
   explicit CampaignService(ServiceConfig cfg);
   ~CampaignService();
   CampaignService(const CampaignService&) = delete;
@@ -185,6 +206,24 @@ class CampaignService {
     obs::ProgressObserver* progress = nullptr;  ///< leader-only
     std::vector<Subscriber> subscribers;        ///< guarded by mu_
   };
+  using WorkbenchPtr = std::shared_ptr<const core::Workbench>;
+  /// Circuit identity (registry name, or "" plus the digest_circuit() of a
+  /// parsed .bench file) and every CampaignOptions field the Workbench
+  /// constructor reads: detect.random_rounds, detect.seed,
+  /// detect.backtrack_limit, prune_untestable.
+  using WorkbenchKey = std::tuple<std::string, std::uint64_t, std::size_t,
+                                  std::uint64_t, int, bool>;
+  /// A finished build: the Workbench, or the error text of a build that
+  /// threw (null workbench).
+  struct WorkbenchBuild {
+    WorkbenchPtr workbench;
+    std::string error;
+  };
+  struct WorkbenchEntry {
+    std::shared_future<WorkbenchBuild> built;
+    std::uint64_t build = 0;     ///< tick the build began (entry identity)
+    std::uint64_t last_use = 0;  ///< LRU tick
+  };
 
   std::shared_future<CampaignResponse> submit_locked(
       CampaignRequest&& req, obs::ProgressObserver* progress);
@@ -194,6 +233,12 @@ class CampaignService {
   void promote_locked(const std::shared_ptr<Execution>& ex,
                       std::uint64_t priority);
   bool step(unsigned worker);
+  /// Borrows the request's Workbench, building it on a miss. Concurrent
+  /// misses on one key wait on a single build; a build that throws is
+  /// not cached, and every waiter throws its error text. Inserting beyond
+  /// kMaxCachedWorkbenches evicts the least recently used entry
+  /// (executions holding it keep their shared_ptr).
+  WorkbenchPtr workbench(const CampaignRequest& req);
   CampaignResponse execute(const Execution& ex);
   void finish(const std::shared_ptr<Execution>& ex, CampaignResponse base);
   void collect_one_shard();
@@ -211,6 +256,8 @@ class CampaignService {
   /// Stable priority queue: sorted by (priority desc, seq asc).
   std::deque<std::shared_ptr<Execution>> queue_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Execution>> inflight_;
+  std::map<WorkbenchKey, WorkbenchEntry> workbenches_;
+  std::uint64_t workbench_clock_ = 0;
   obs::CounterRegistry counters_;
   std::uint64_t next_id_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -1,10 +1,12 @@
 // Parameter-selection tests (combination search policy).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 
 #include "core/campaign.hpp"
 #include "core/param_select.hpp"
+#include "gen/registry.hpp"
 #include "scan/cost.hpp"
 
 namespace rls::core {
@@ -94,6 +96,29 @@ TEST(ParamSelect, Ts0CacheMemoizesPerKey) {
   EXPECT_NE(c.get(), d.get());
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(ParamSelect, Ts0CacheKeysCircuitContentNotAddress) {
+  // One cache spanning two circuits that occupy the same storage in turn:
+  // s298 must get its own TS_0, not s27's set served as a hit.
+  Ts0Cache cache;
+  Ts0Config cfg;
+  cfg.n = 4;
+  std::optional<netlist::Netlist> nl;
+  nl.emplace(gen::make_circuit("s27"));
+  const netlist::Netlist* const storage = &*nl;
+  const auto s27 = cache.get(*nl, cfg, fault::Engine::kConeDiff);
+  EXPECT_EQ(s27->tests.front().scan_in.size(), 3u);
+  EXPECT_EQ(s27->tests.front().vectors.front().size(), 4u);
+
+  nl.reset();
+  nl.emplace(gen::make_circuit("s298"));
+  ASSERT_EQ(&*nl, storage);
+  const auto s298 = cache.get(*nl, cfg, fault::Engine::kConeDiff);
+  EXPECT_EQ(s298->tests.front().scan_in.size(), 14u);
+  EXPECT_EQ(s298->tests.front().vectors.front().size(), 3u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(ParamSelect, RunComboValidatesNcyc0AgainstGeneratedSet) {

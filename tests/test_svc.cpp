@@ -1,27 +1,34 @@
 // Campaign service tests: the typed request schema, single-flight dedup
 // (N identical concurrent requests -> one execution, N byte-identical
 // streams), bounded admission (queue-full is a typed error, never a
-// hang), killed-session resume via the resume flag, and the PR 7
-// acceptance batch (8 distinct x 4 duplicates -> 8 executions, 24
-// coalesced responses).
+// hang), killed-session resume via the resume flag, the acceptance
+// batch (8 distinct x 4 duplicates -> 8 executions, 24 coalesced
+// responses), and the per-service Workbench cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <initializer_list>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/run_context.hpp"
+#include "gen/registry.hpp"
+#include "netlist/bench_io.hpp"
+#include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "store/artifact_store.hpp"
 #include "store/checkpoint.hpp"
+#include "svc/json.hpp"
 #include "svc/request.hpp"
 #include "svc/service.hpp"
 
@@ -69,7 +76,8 @@ struct Solo {
 };
 
 /// Executes `req` exactly the way CampaignService::execute does, but
-/// inline — the byte-identity oracle for response streams.
+/// inline and on a freshly built Workbench — the byte-identity oracle for
+/// response streams.
 Solo solo_run(const svc::CampaignRequest& req,
               store::ArtifactStore* astore = nullptr, bool resume = false) {
   Solo out;
@@ -77,7 +85,11 @@ Solo solo_run(const svc::CampaignRequest& req,
   ctx.set_timing(req.timing);
   obs::VectorSink sink;
   ctx.set_sink(&sink);
-  core::Workbench wb(req.circuit, ctx.options);
+  const core::Workbench wb =
+      gen::is_known_circuit(req.circuit)
+          ? core::Workbench(req.circuit, ctx.options)
+          : core::Workbench(netlist::load_bench_file(req.circuit),
+                            ctx.options);
   std::unique_ptr<store::CampaignStore> cs;
   if (astore != nullptr) {
     cs = std::make_unique<store::CampaignStore>(*astore, wb.nl(),
@@ -253,6 +265,38 @@ TEST(SvcRequest, CoalesceKeyNeutralizesScheduleOnlyFields) {
   svc::CampaignRequest timing = base;
   timing.timing = true;  // timing changes stream bytes: never coalesce
   EXPECT_NE(svc::coalesce_key(timing), key);
+}
+
+TEST(SvcRequest, DuplicateFieldCheckIsLinear) {
+  // The first repeated key by position is the one reported.
+  try {
+    svc::parse_line(R"({"schema":1,"b":1,"a":1,"a":2,"b":2})", "t");
+    FAIL() << "expected JsonError";
+  } catch (const svc::JsonError& e) {
+    EXPECT_STREQ(e.what(), "t: offset 27: duplicate field \"a\"");
+  }
+  // ~870 KB of distinct fields, under the default 1 MiB line cap: a
+  // pairwise duplicate check costs tens of seconds of CPU here, a linear
+  // one tens of milliseconds (sanitizers slow every allocation ~10x).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  constexpr auto kBudget = std::chrono::seconds(10);
+#else
+  constexpr auto kBudget = std::chrono::seconds(1);
+#endif
+  std::string line = R"({"schema":2)";
+  for (int k = 0; k < 80000; ++k) {
+    line += ",\"f" + std::to_string(k) + "\":1";
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(svc::parse_line(line + "}", "t"), svc::RequestError);
+  try {
+    svc::parse_line(line + R"(,"f0":2})", "t");
+    FAIL() << "expected JsonError";
+  } catch (const svc::JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate field \"f0\""),
+              std::string::npos);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kBudget);
 }
 
 // ---- SvcSingleFlight -----------------------------------------------------
@@ -483,6 +527,268 @@ TEST(SvcAcceptance, BatchOf32CoalescesToEightExecutions) {
   EXPECT_EQ(c.value("svc.coalesced"), 24u);
   EXPECT_EQ(c.value("svc.rejected"), 0u);
   EXPECT_EQ(c.value("fsim.gate_evals"), 0u);  // warm: no simulation at all
+}
+
+// ---- SvcWorkbenchCache ---------------------------------------------------
+
+/// True when no svc.workbench_* counter leaked into the response: its
+/// stream, envelope and counters must not depend on whether its
+/// Workbench was built or borrowed.
+bool free_of_cache_counters(const svc::CampaignResponse& resp) {
+  return resp.stream.find("workbench") == std::string::npos &&
+         resp.to_json().find("workbench") == std::string::npos &&
+         std::none_of(resp.counters.begin(), resp.counters.end(),
+                      [](const auto& c) {
+                        return c.first.find("workbench") != std::string::npos;
+                      });
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::trunc) << text;
+}
+
+/// Holds an execution at its first progress update (Workbench in hand)
+/// until release().
+class Gate final : public obs::ProgressObserver {
+ public:
+  void update(const obs::Progress& /*p*/) override {
+    std::unique_lock<std::mutex> lk(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lk, [this] { return released_; });
+  }
+  void wait_entered() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lk(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+/// Releases a Gate on scope exit; declared after the service, so a failed
+/// assertion cannot leave the service's destructor waiting on the gate.
+struct GateRelease {
+  Gate& gate;
+  ~GateRelease() { gate.release(); }
+};
+
+TEST(SvcWorkbenchCache, DistinctSeedsShareOneBuild) {
+  // 8 campaigns on one circuit that differ only in base_seed; 4 workers
+  // claim the first 4 at once, so the misses race on one key.
+  std::vector<svc::CampaignRequest> reqs;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    svc::CampaignRequest req;
+    req.circuit = "s298";
+    req.la = 8;
+    req.lb = 16;
+    req.n = 64;
+    req.options.p2.sim_threads = 1;
+    req.options.p2.max_iterations = 6;
+    req.options.p2.base_seed = 1000 + k;
+    reqs.push_back(std::move(req));
+  }
+  svc::ServiceConfig cfg;
+  cfg.workers = 4;
+  cfg.autostart = false;
+  svc::CampaignService service(std::move(cfg));
+  auto futures = service.submit_batch(reqs);
+  service.start();
+
+  for (std::size_t k = 0; k < futures.size(); ++k) {
+    const svc::CampaignResponse resp = futures[k].get();
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_FALSE(resp.coalesced);
+    // Same bytes as a solo run on a Workbench of its own.
+    const Solo solo = solo_run(reqs[k]);
+    EXPECT_EQ(resp.stream, solo.stream) << "request " << k;
+    EXPECT_EQ(resp.detected, solo.row.result.total_detected);
+    EXPECT_EQ(resp.total_cycles, solo.row.result.total_cycles());
+    EXPECT_TRUE(free_of_cache_counters(resp)) << "request " << k;
+  }
+  const obs::CounterRegistry c = service.counters();
+  EXPECT_EQ(c.value("svc.workbench_builds"), 1u);
+  EXPECT_EQ(c.value("svc.workbench_hits"), 7u);
+  EXPECT_EQ(c.value("svc.workbench_evictions"), 0u);
+}
+
+TEST(SvcWorkbenchCache, EveryKeyFieldGetsItsOwnBuild) {
+  svc::CampaignService service(svc::ServiceConfig{});
+  const svc::CampaignRequest base = s27_request();
+  std::vector<svc::CampaignRequest> variants(6, base);
+  variants[1].circuit = "s208";
+  variants[2].options.detect.random_rounds = 8;
+  variants[3].options.detect.seed ^= 1;
+  variants[4].options.detect.backtrack_limit = 100;
+  variants[5].options.prune_untestable = true;
+  for (const svc::CampaignRequest& req : variants) {
+    const svc::CampaignResponse resp = service.run(req);
+    ASSERT_TRUE(resp.ok) << resp.error;
+  }
+  EXPECT_EQ(service.counters().value("svc.workbench_builds"), 6u);
+  EXPECT_EQ(service.counters().value("svc.workbench_hits"), 0u);
+
+  // Fields the Workbench never reads share the base entry.
+  svc::CampaignRequest other = base;
+  other.n = 64;
+  other.options.p2.base_seed ^= 1;
+  other.options.p2.engine = fault::Engine::kPacked;
+  other.options.max_attempts = 3;
+  const svc::CampaignResponse resp = service.run(other);
+  ASSERT_TRUE(resp.ok) << resp.error;
+  EXPECT_EQ(resp.stream, solo_run(other).stream);
+  EXPECT_EQ(service.counters().value("svc.workbench_builds"), 6u);
+  EXPECT_EQ(service.counters().value("svc.workbench_hits"), 1u);
+}
+
+TEST(SvcWorkbenchCache, RewrittenBenchFileIsRebuilt) {
+  // Same path, same name, same interface, one gate changed.
+  const std::string original =
+      netlist::write_bench(gen::make_circuit("s27"));
+  std::string edited = original;
+  const std::string gate = "G9 = NAND(G16, G15)";
+  const std::size_t at = edited.find(gate);
+  ASSERT_NE(at, std::string::npos);
+  edited.replace(at, gate.size(), "G9 = AND(G16, G15)");
+
+  const ScratchDir dir("bench");
+  svc::CampaignRequest req = s27_request();
+  req.circuit = dir.path() + "/edited.bench";
+  svc::CampaignService service(svc::ServiceConfig{});
+  write_file(req.circuit, original);
+  ASSERT_TRUE(service.run(req).ok);
+  write_file(req.circuit, edited);
+  const svc::CampaignResponse resp = service.run(req);
+  ASSERT_TRUE(resp.ok) << resp.error;
+
+  const Solo solo = solo_run(req);  // of the edited file
+  EXPECT_EQ(resp.stream, solo.stream);
+  EXPECT_EQ(resp.targets, solo.row.target_faults);
+  EXPECT_EQ(resp.detected, solo.row.result.total_detected);
+  EXPECT_EQ(resp.total_cycles, solo.row.result.total_cycles());
+  EXPECT_EQ(service.counters().value("svc.workbench_builds"), 2u);
+  EXPECT_EQ(service.counters().value("svc.workbench_hits"), 0u);
+
+  // Unchanged content is a hit.
+  ASSERT_TRUE(service.run(req).ok);
+  EXPECT_EQ(service.counters().value("svc.workbench_builds"), 2u);
+  EXPECT_EQ(service.counters().value("svc.workbench_hits"), 1u);
+}
+
+TEST(SvcWorkbenchCache, FailuresAreNeverCached) {
+  svc::CampaignService service(svc::ServiceConfig{});
+  svc::CampaignRequest unknown = s27_request();
+  unknown.circuit = "no-such-circuit";
+  for (int k = 0; k < 2; ++k) {
+    const svc::CampaignResponse resp = service.run(unknown);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.error_code, svc::error_code::kRequest);
+  }
+  // Rejected before any cache lookup: no entry, no build.
+  EXPECT_EQ(service.counters().value("svc.workbench_builds"), 0u);
+  EXPECT_EQ(service.counters().value("svc.workbench_hits"), 0u);
+
+  // A .bench file that parses but cannot compile: the build itself
+  // throws and is not cached, so the retry builds (and fails) again.
+  const ScratchDir dir("loop");
+  svc::CampaignRequest loop = s27_request();
+  loop.circuit = dir.path() + "/loop.bench";
+  write_file(loop.circuit,
+             "INPUT(a)\nOUTPUT(z)\nx = AND(a, y)\ny = OR(x, a)\n"
+             "z = NOT(y)\n");
+  for (int k = 0; k < 2; ++k) {
+    const svc::CampaignResponse resp = service.run(loop);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.error_code, svc::error_code::kRun);
+    EXPECT_NE(resp.error.find("combinational cycle"), std::string::npos)
+        << resp.error;
+  }
+  EXPECT_EQ(service.counters().value("svc.workbench_builds"), 2u);
+  EXPECT_EQ(service.counters().value("svc.workbench_hits"), 0u);
+}
+
+TEST(SvcWorkbenchCache, FailedBuildReachesEveryWaiter) {
+  const ScratchDir dir("waiters");
+  const std::string path = dir.path() + "/loop.bench";
+  write_file(path, "INPUT(a)\nOUTPUT(z)\nx = AND(a, y)\ny = OR(x, a)\n"
+                   "z = NOT(y)\n");
+  std::vector<svc::CampaignRequest> reqs;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    svc::CampaignRequest req = s27_request();
+    req.circuit = path;
+    req.options.p2.base_seed = 1000 + k;
+    reqs.push_back(std::move(req));
+  }
+  svc::ServiceConfig cfg;
+  cfg.workers = 4;
+  cfg.autostart = false;
+  svc::CampaignService service(std::move(cfg));
+  auto futures = service.submit_batch(std::move(reqs));
+  service.start();
+  for (auto& f : futures) {
+    const svc::CampaignResponse resp = f.get();
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.error_code, svc::error_code::kRun);
+    EXPECT_NE(resp.error.find("combinational cycle"), std::string::npos)
+        << resp.error;
+  }
+  // Whether a request waited on another's build or started its own, it
+  // got the error.
+  const std::uint64_t builds = service.counters().value("svc.workbench_builds");
+  const std::uint64_t hits = service.counters().value("svc.workbench_hits");
+  EXPECT_GE(builds, 1u);
+  EXPECT_EQ(builds + hits, 4u);
+  // Nothing stayed cached: the next request builds again.
+  svc::CampaignRequest retry = s27_request();
+  retry.circuit = path;
+  EXPECT_FALSE(service.run(retry).ok);
+  EXPECT_EQ(service.counters().value("svc.workbench_builds"), builds + 1);
+  EXPECT_EQ(service.counters().value("svc.workbench_hits"), hits);
+}
+
+TEST(SvcWorkbenchCache, EvictsLeastRecentlyUsedBeyondCap) {
+  constexpr std::size_t kCap = svc::CampaignService::kMaxCachedWorkbenches;
+  const auto seeded = [](std::uint64_t k) {
+    svc::CampaignRequest req = s27_request();
+    req.options.detect.seed = 100 + k;
+    return req;
+  };
+  svc::ServiceConfig cfg;
+  cfg.workers = 2;
+  svc::CampaignService service(std::move(cfg));
+  Gate gate;
+  const GateRelease release{gate};
+
+  // Key 0 is built first and then held mid-run, so it is both the least
+  // recently used entry and still in use when key kCap arrives.
+  auto held = service.submit(seeded(0), &gate);
+  gate.wait_entered();
+  std::vector<std::shared_future<svc::CampaignResponse>> rest;
+  for (std::uint64_t k = 1; k <= kCap; ++k) {
+    rest.push_back(service.submit(seeded(k)));
+  }
+  for (auto& f : rest) ASSERT_TRUE(f.get().ok);
+  EXPECT_EQ(service.counters().value("svc.workbench_builds"), kCap + 1);
+  EXPECT_EQ(service.counters().value("svc.workbench_evictions"), 1u);
+
+  gate.release();
+  const svc::CampaignResponse resp = held.get();
+  ASSERT_TRUE(resp.ok) << resp.error;
+  EXPECT_EQ(resp.stream, solo_run(seeded(0)).stream);
+
+  // The evicted key is rebuilt, pushing out the next-oldest.
+  ASSERT_TRUE(service.run(seeded(0)).ok);
+  EXPECT_EQ(service.counters().value("svc.workbench_builds"), kCap + 2);
+  EXPECT_EQ(service.counters().value("svc.workbench_evictions"), 2u);
+  EXPECT_EQ(service.counters().value("svc.workbench_hits"), 0u);
 }
 
 }  // namespace

@@ -19,7 +19,12 @@
 #      oracles; skipped with --quick) plus a replay of the committed
 #      regression corpus under tests/fuzz_corpus/ (always runs) — zero
 #      findings required for both;
-#   5. unless --quick: the ASan+UBSan preset build + the rls::store suites
+#   5. a perfbench smoke: `perfbench/run.py --workload table6-warm --seed 1
+#      --seconds 1 --trace 0` must exit 0 and end with a JSON summary line
+#      that says "correct": true (always runs) — catches a renamed CMake
+#      target perfbench links, or a changed src/ signature it compiles
+#      against, before a benchmark run does;
+#   6. unless --quick: the ASan+UBSan preset build + the rls::store suites
 #      (StoreSerde / StoreArtifact / StoreNegative / StoreCheckpoint /
 #      StoreResume / ...) plus the PackedFsim and campaign-service (Svc*)
 #      suites — the adversarial corruption tests must be clean under
@@ -27,7 +32,7 @@
 #      engine's word machinery and the service's admission/coalescing path —
 #      plus the net loopback determinism suite (NetFrame / NetLoopback /
 #      NetDrain / NetSharedStore);
-#   6. unless --quick: the TSan preset build + thread-heavy test suites
+#   7. unless --quick: the TSan preset build + thread-heavy test suites
 #      (ParallelFsim / PackedFsim / SweepEquiv / SweepAbort /
 #      EngineCrossCheck / WorkerPool / StoreConcurrency / Svc* / Net* /
 #      FuzzDeterminism) with suppressions from tools/tsan.supp.
@@ -114,7 +119,32 @@ if ! build/tools/rls fuzz --replay tests/fuzz_corpus --findings - 2>/dev/null; t
 fi
 echo "fuzz: clean"
 
-# ---- 5. ASan store suites -----------------------------------------------
+# ---- 5. perfbench smoke -------------------------------------------------
+# Builds perfbench/ (its own Release tree under .bench_build/) from this
+# checkout and runs one short warm workload; the last stdout line is the
+# JSON summary.
+echo "== perfbench smoke (table6-warm, seed 1, 1 s) =="
+bench_err="$(mktemp)"
+rc=0
+bench_out="$(python3 perfbench/run.py --workload table6-warm --seed 1 \
+  --seconds 1 --trace 0 2>"$bench_err")" || rc=$?
+if [[ "$rc" != 0 ]] || ! tail -n 1 <<<"$bench_out" | python3 -c '
+import json, sys
+try:
+    ok = json.loads(sys.stdin.read()).get("correct") is True
+except ValueError:
+    ok = False
+sys.exit(0 if ok else 1)'; then
+  echo "perfbench smoke: FAILED (exit $rc, or no \"correct\": true summary)" >&2
+  tail -n 20 "$bench_err" >&2
+  printf '%s\n' "$bench_out" | tail -n 5 >&2
+  fail=1
+else
+  echo "perfbench smoke: ok"
+fi
+rm -f "$bench_err"
+
+# ---- 6. ASan store suites -----------------------------------------------
 if [[ "$quick" == 0 ]]; then
   echo "== ASan+UBSan (rls::store suites) =="
   cmake --preset asan >/dev/null
@@ -127,7 +157,7 @@ else
   echo "== ASan store suites: skipped (--quick) =="
 fi
 
-# ---- 6. TSan suites -----------------------------------------------------
+# ---- 7. TSan suites -----------------------------------------------------
 if [[ "$quick" == 0 ]]; then
   echo "== TSan (thread-heavy suites) =="
   cmake --preset tsan >/dev/null
