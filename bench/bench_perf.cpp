@@ -494,8 +494,8 @@ BENCHMARK_CAPTURE(BM_ServeThroughput, s5378_coalesced_w4, "s5378",
 
 /// The BM_ServeThroughput workload pushed through the full TCP loopback
 /// path (NetClient -> NetServer -> CampaignService): NDJSON framing,
-/// per-connection reader/writer threads, and envelope serialization on
-/// top of the service. Compare against the matching BM_ServeThroughput
+/// the server's poll loop, and envelope serialization on top of the
+/// service. Compare against the matching BM_ServeThroughput
 /// row for the transport tax, and warm_w1 vs warm_w4 for how requests/s
 /// scales with --workers when the wire is the same.
 void BM_NetThroughput(benchmark::State& state, const char* name,

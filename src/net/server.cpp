@@ -1,5 +1,6 @@
 #include "net/server.hpp"
 
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -7,12 +8,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <future>
 
 #include "net/framing.hpp"
 
@@ -28,38 +31,70 @@ bool is_blank(std::string_view line) {
 
 }  // namespace
 
-/// One slot in a connection's ordered response queue: either a future
-/// still being computed by the service, or an already-final envelope
-/// (parse errors, admission rejections, frame errors).
-struct NetServer::Pending {
-  std::shared_future<svc::CampaignResponse> future;
-  svc::CampaignResponse ready;
-  bool is_ready = false;
+/// A non-blocking, close-on-exec self-pipe. The wake pipe is shared with
+/// every completion hook, so a hook that fires after the server is gone
+/// still writes into an open pipe.
+class NetServer::SelfPipe {
+ public:
+  SelfPipe() {
+    if (::pipe2(fds_, O_CLOEXEC | O_NONBLOCK) != 0) {
+      throw NetError("cannot create self-pipe: " + errno_text());
+    }
+  }
+  ~SelfPipe() {
+    ::close(fds_[0]);
+    ::close(fds_[1]);
+  }
+  SelfPipe(const SelfPipe&) = delete;
+  SelfPipe& operator=(const SelfPipe&) = delete;
+
+  [[nodiscard]] int read_fd() const noexcept { return fds_[0]; }
+  /// A full pipe is already readable, so a failed write loses nothing.
+  void notify() const noexcept { (void)!::write(fds_[1], "w", 1); }
+  /// Bytes beyond one read only cost the loop one more pass.
+  void clear() const noexcept {
+    char buf[512];
+    (void)!::read(fds_[0], buf, sizeof buf);
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
 };
 
 struct NetServer::Connection {
-  std::uint64_t id = 0;
-  int fd = -1;
-  std::thread reader, writer;
+  Connection(std::uint64_t conn_id, int in, int out, bool is_socket,
+             std::size_t max_line_bytes)
+      : id(conn_id),
+        in_fd(in),
+        out_fd(out),
+        socket(is_socket),
+        origin(is_socket ? "conn" + std::to_string(conn_id) : "stdin"),
+        splitter(max_line_bytes) {}
+  ~Connection() {
+    if (socket) ::close(in_fd);
+  }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
 
-  std::mutex mu;                ///< pending + read_done
-  std::condition_variable cv;   ///< reader -> writer wakeups
-  std::deque<Pending> pending;
-  bool read_done = false;
-
-  /// Set by the writer when it force-closed the socket (overflow, peer
-  /// reset, drain timeout): tells the reader to stop even mid-stream.
-  std::atomic<bool> dead{false};
-  std::atomic<bool> reader_exited{false};
-  std::atomic<bool> writer_exited{false};
-  std::uint64_t lines = 0;  ///< reader-only: input line number
+  const std::uint64_t id;
+  const int in_fd, out_fd;  ///< one fd for a socket
+  /// A socket is non-blocking and owned here; stream fds are neither.
+  const bool socket;
+  const std::string origin;  ///< names this input in parse errors
+  LineSplitter splitter;
+  std::uint64_t lines = 0;  ///< input line number
+  bool reading = true;
+  /// Responses in admission order. Errors found at admission are
+  /// already-ready futures, so the output order always matches the input.
+  std::deque<std::shared_future<svc::CampaignResponse>> pending;
+  std::string outbuf;  ///< serialized bytes the fd has not taken yet
 };
 
 NetServer::NetServer(svc::CampaignService& service, NetConfig cfg)
-    : service_(service), cfg_(std::move(cfg)) {
-  if (::pipe(wake_pipe_) != 0) {
-    throw NetError("cannot create wake pipe: " + errno_text());
-  }
+    : service_(service),
+      cfg_(std::move(cfg)),
+      waker_(std::make_shared<SelfPipe>()),
+      done_(std::make_unique<SelfPipe>()) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
@@ -72,7 +107,9 @@ NetServer::NetServer(svc::CampaignService& service, NetConfig cfg)
     throw NetError("cannot resolve bind address '" + cfg_.bind_address +
                    "': " + ::gai_strerror(gai));
   }
-  listen_fd_ = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
+  listen_fd_ = ::socket(res->ai_family,
+                        res->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                        res->ai_protocol);
   if (listen_fd_ < 0) {
     ::freeaddrinfo(res);
     throw NetError("cannot create listen socket: " + errno_text());
@@ -95,15 +132,20 @@ NetServer::NetServer(svc::CampaignService& service, NetConfig cfg)
       0) {
     port_ = ntohs(bound.sin_port);
   }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  loop_ = std::thread([this] { loop(); });
+}
+
+NetServer::NetServer(svc::CampaignService& service, NetConfig cfg, int in_fd,
+                     int out_fd)
+    : service_(service),
+      cfg_(std::move(cfg)),
+      waker_(std::make_shared<SelfPipe>()),
+      done_(std::make_unique<SelfPipe>()) {
+  add_connection(in_fd, out_fd, /*socket=*/false);
+  loop_ = std::thread([this] { loop(); });
 }
 
 NetServer::~NetServer() { shutdown(); }
-
-void NetServer::set_sink(obs::TraceSink* sink) {
-  std::lock_guard<std::mutex> lk(sink_mu_);
-  sink_ = sink;
-}
 
 void NetServer::count(const char* name, std::uint64_t delta) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -111,25 +153,16 @@ void NetServer::count(const char* name, std::uint64_t delta) {
 }
 
 void NetServer::emit_conn(std::uint64_t conn_id, const char* action,
-                          const std::string& reason) {
-  std::lock_guard<std::mutex> lk(sink_mu_);
-  if (sink_ == nullptr) return;
+                          const char* reason) {
+  obs::TraceSink* sink = sink_.load();
+  if (sink == nullptr) return;
   obs::TraceEvent ev("net_conn");
   ev.u64("conn", conn_id).str("action", action);
-  if (!reason.empty()) ev.str("reason", reason);
-  sink_->write(ev);
+  if (*reason != '\0') ev.str("reason", reason);
+  sink->write(ev);
 }
 
-void NetServer::emit_rr(std::uint64_t conn_id, const svc::RequestId& id,
-                        bool ok) {
-  std::lock_guard<std::mutex> lk(sink_mu_);
-  if (sink_ == nullptr) return;
-  obs::TraceEvent ev("net_rr");
-  ev.u64("conn", conn_id).str("id", id).boolean("ok", ok);
-  sink_->write(ev);
-}
-
-void NetServer::write_stream_file(const svc::CampaignResponse& resp) {
+void NetServer::write_stream_file(const svc::CampaignResponse& resp) const {
   if (cfg_.stream_dir.empty() || !resp.ok) return;
   std::error_code ec;
   std::filesystem::create_directories(cfg_.stream_dir, ec);  // best effort
@@ -143,334 +176,250 @@ void NetServer::write_stream_file(const svc::CampaignResponse& resp) {
             static_cast<std::streamsize>(resp.stream.size()));
 }
 
-void NetServer::accept_loop() {
-  for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0 && errno != EINTR) break;
-    if (stopping_.load(std::memory_order_acquire)) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int cfd = ::accept(listen_fd_, nullptr, nullptr);
-    if (cfd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) {
-        continue;
-      }
-      break;  // listen socket closed under us
-    }
-    const int one = 1;
-    ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    if (cfg_.send_buffer_bytes > 0) {
-      ::setsockopt(cfd, SOL_SOCKET, SO_SNDBUF, &cfg_.send_buffer_bytes,
-                   sizeof cfg_.send_buffer_bytes);
-    }
-    auto conn = std::make_unique<Connection>();
-    Connection* c = conn.get();
-    c->fd = cfd;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      c->id = next_conn_id_++;
-      counters_.add("net.accepted", 1);
-    }
-    emit_conn(c->id, "open", "");
-    c->reader = std::thread([this, c] { reader_loop(*c); });
-    c->writer = std::thread([this, c] { writer_loop(*c); });
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      connections_.push_back(std::move(conn));
-    }
-    reap_finished();
+bool NetServer::wait(int stop_fd) {
+  pollfd fds[2] = {{stop_fd, POLLIN, 0}, {done_->read_fd(), POLLIN, 0}};
+  while (::poll(fds, 2, -1) < 0 && errno == EINTR) {
   }
+  return fds[0].revents != 0;
 }
 
-void NetServer::reader_loop(Connection& conn) {
-  LineSplitter splitter(cfg_.max_line_bytes);
-  char buf[1 << 16];
-
-  const auto push = [&](Pending item) {
-    {
-      std::lock_guard<std::mutex> lk(conn.mu);
-      conn.pending.push_back(std::move(item));
+void NetServer::loop() {
+  using Clock = std::chrono::steady_clock;
+  bool stopping = false;
+  Clock::time_point deadline{};
+  std::vector<pollfd> fds;
+  // The connection to read when fds[first + k] fires; null for an entry
+  // that only wakes the loop to write again.
+  std::vector<Connection*> polled;
+  for (;;) {
+    if (!stopping && stopping_.load()) {
+      // Stop accepting and reading; what is pending still flushes, but a
+      // client that will not take its bytes cannot hold shutdown hostage.
+      stopping = true;
+      deadline = Clock::now() + std::chrono::milliseconds(cfg_.drain_flush_ms);
+      if (listen_fd_ >= 0) ::close(listen_fd_);
+      listen_fd_ = -1;
+      for (const auto& c : connections_) c->reading = false;
     }
-    conn.cv.notify_one();
-  };
-  const auto push_error = [&](svc::RequestId id, std::string what,
-                              const char* code, std::uint64_t retry_hint) {
-    Pending item;
-    item.is_ready = true;
-    item.ready.id = std::move(id);
-    item.ready.ok = false;
-    item.ready.error = std::move(what);
-    item.ready.error_code = code;
-    item.ready.retry_after_hint = retry_hint;
-    push(std::move(item));
-  };
-  // One NDJSON line: a campaign request (-> ordered pending future), a
-  // cancel control line (no response slot — the cancellation outcome is
-  // observable on the *target's* envelope), or a typed error envelope.
-  // Returns false when the connection must stop reading (frame error).
-  const auto handle_line = [&](std::string_view line) {
-    ++conn.lines;
-    if (is_blank(line)) return;
-    const std::string origin =
-        "conn" + std::to_string(conn.id) + ":" + std::to_string(conn.lines);
-    try {
-      svc::ParsedLine parsed = svc::parse_line(line, origin);
-      if (parsed.cancel) {
-        count("net.cancels");
-        service_.cancel(parsed.cancel->target);
-        return;
+    const bool late = stopping && Clock::now() > deadline;
+    fds.assign(1, pollfd{waker_->read_fd(), POLLIN, 0});
+    if (listen_fd_ >= 0) fds.push_back({listen_fd_, POLLIN, 0});
+    const std::size_t first = fds.size();
+    polled.clear();
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      Connection& c = **it;
+      const char* reason = respond(c);
+      if (reason == nullptr && !c.reading && c.pending.empty() &&
+          c.outbuf.empty()) {
+        reason = "eof";
       }
-      count("net.requests");
-      Pending item;
-      item.future = service_.submit(std::move(*parsed.request));
-      push(std::move(item));
-    } catch (const svc::QueueFullError& e) {
-      count("net.requests");
-      push_error(e.id, e.what(), svc::error_code::kQueueFull,
-                 e.retry_after_hint);
-    } catch (const svc::ServiceStoppedError& e) {
-      count("net.requests");
-      push_error("line" + std::to_string(conn.lines), e.what(),
-                 svc::error_code::kDrained, 25);
-    } catch (const std::exception& e) {
-      // Parse / validation errors (RequestError, JsonError).
-      count("net.requests");
-      push_error("line" + std::to_string(conn.lines), e.what(),
-                 svc::error_code::kRequest, 0);
+      if (reason == nullptr && late) reason = "drain_timeout";
+      if (reason != nullptr) {
+        count_close(c, reason);
+        it = connections_.erase(it);  // closes a socket
+        continue;
+      }
+      if (c.reading) {
+        fds.push_back({c.in_fd, POLLIN, 0});
+        polled.push_back(&c);
+      }
+      if (!c.outbuf.empty()) {  // only a non-blocking fd leaves bytes here
+        fds.push_back({c.out_fd, POLLOUT, 0});
+        polled.push_back(nullptr);
+      }
+      ++it;
     }
-  };
+    if (listen_fd_ < 0 && connections_.empty()) break;
 
-  bool frame_failed = false;
-  while (!conn.dead.load(std::memory_order_acquire) &&
-         !stopping_.load(std::memory_order_acquire)) {
-    pollfd fds[2] = {{conn.fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
+    int timeout_ms = -1;  // sleep until an fd or a completion wakes us
+    if (stopping) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - Clock::now());
+      timeout_ms = static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+      ++timeout_ms;  // wake just past the deadline, not just before it
+    }
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (stopping_.load(std::memory_order_acquire) ||
-        conn.dead.load(std::memory_order_acquire)) {
-      break;
-    }
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    const ssize_t n = ::recv(conn.fd, buf, sizeof buf, MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;
-    }
-    if (n == 0) {  // orderly EOF: flush any final unterminated line
-      try {
-        if (const auto last = splitter.finish()) handle_line(*last);
-      } catch (const FrameError& e) {
-        count("net.frame_errors");
-        push_error("", e.what(), svc::error_code::kFrame, 0);
+    if (fds[0].revents != 0) waker_->clear();
+    for (std::size_t k = 0; k < polled.size(); ++k) {
+      Connection* c = polled[k];
+      if (c != nullptr && c->reading && fds[first + k].revents != 0) {
+        read_input(*c);
       }
-      break;
     }
-    count("net.bytes_in", static_cast<std::uint64_t>(n));
-    try {
-      splitter.feed(std::string_view(buf, static_cast<std::size_t>(n)),
-                    handle_line);
-    } catch (const FrameError& e) {
-      // A framing violation poisons the rest of the stream: answer with
-      // one typed envelope, stop reading, let the writer flush and
-      // half-close.
-      count("net.frame_errors");
-      push_error("", e.what(), svc::error_code::kFrame, 0);
-      frame_failed = true;
-      break;
-    }
+    if (first == 2 && (fds[1].revents & POLLIN) != 0) accept_all();
   }
-  (void)frame_failed;
-  {
-    std::lock_guard<std::mutex> lk(conn.mu);
-    conn.read_done = true;
-  }
-  conn.cv.notify_one();
-  conn.reader_exited.store(true, std::memory_order_release);
+  for (const auto& c : connections_) count_close(*c, "error");
+  connections_.clear();
+  done_->notify();
 }
 
-void NetServer::writer_loop(Connection& conn) {
-  const auto poll_iv = std::chrono::milliseconds(
-      cfg_.poll_interval_ms > 0 ? cfg_.poll_interval_ms : 50);
-  std::string outbuf;  // writer-private
-  const char* close_reason = "eof";
-  bool force_close = false;
-  bool deadline_set = false;
-  std::chrono::steady_clock::time_point drain_deadline{};
-
+void NetServer::accept_all() {
   for (;;) {
-    if (stopping_.load(std::memory_order_acquire) && !deadline_set) {
-      deadline_set = true;
-      drain_deadline = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(cfg_.drain_flush_ms);
-    }
-    // 1. Resolve the connection's oldest unanswered request, keeping
-    //    strict admission order.
-    std::shared_future<svc::CampaignResponse> fut;
-    svc::CampaignResponse resp;
-    bool have = false;
-    bool finished = false;
-    {
-      std::unique_lock<std::mutex> lk(conn.mu);
-      if (!conn.pending.empty()) {
-        Pending& front = conn.pending.front();
-        if (front.is_ready) {
-          resp = std::move(front.ready);
-          conn.pending.pop_front();
-          have = true;
-        } else {
-          fut = front.future;
-        }
-      } else if (conn.read_done && outbuf.empty()) {
-        finished = true;
-      } else if (outbuf.empty()) {
-        conn.cv.wait_for(lk, poll_iv);  // idle: wait for the reader
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        // Out of fds or worse: stop accepting. The loop then ends once
+        // the open connections close.
+        ::close(listen_fd_);
+        listen_fd_ = -1;
       }
+      return;
     }
-    if (finished) break;
-    if (!have && fut.valid()) {
-      // Block on the future only while there is nothing to flush.
-      const auto wait = outbuf.empty() ? poll_iv : std::chrono::milliseconds(0);
-      if (fut.wait_for(wait) == std::future_status::ready) {
-        resp = fut.get();
-        have = true;
-        std::lock_guard<std::mutex> lk(conn.mu);
-        conn.pending.pop_front();
-      }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    if (cfg_.send_buffer_bytes > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &cfg_.send_buffer_bytes,
+                   sizeof cfg_.send_buffer_bytes);
     }
-    if (have) {
-      write_stream_file(resp);
-      emit_rr(conn.id, resp.id, resp.ok);
-      outbuf += resp.to_json();
-      outbuf.push_back('\n');
-      count("net.responses");
-    }
-    // 2. Flush as much as the socket accepts right now.
-    bool sent_any = false;
-    bool sock_dead = false;
-    while (!outbuf.empty()) {
-      const ssize_t n = ::send(conn.fd, outbuf.data(), outbuf.size(),
-                               MSG_DONTWAIT | MSG_NOSIGNAL);
-      if (n > 0) {
-        count("net.bytes_out", static_cast<std::uint64_t>(n));
-        outbuf.erase(0, static_cast<std::size_t>(n));
-        sent_any = true;
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      sock_dead = true;  // peer reset / half-closed under us
-      break;
-    }
-    if (sock_dead) {
-      close_reason = "error";
-      force_close = true;
-      break;
-    }
-    // 3. Slow-reader guard: un-acked bytes past the cap are a typed
-    //    overflow disconnect, not unbounded buffering.
-    if (outbuf.size() > cfg_.max_write_buffer) {
-      count("net.overflow_disconnects");
-      close_reason = "overflow";
-      force_close = true;
-      break;
-    }
-    // 4. Drain deadline: a client that will not take its final bytes
-    //    cannot hold shutdown hostage.
-    if (deadline_set && std::chrono::steady_clock::now() > drain_deadline) {
-      bool flushed;
-      {
-        std::lock_guard<std::mutex> lk(conn.mu);
-        flushed = conn.pending.empty() && outbuf.empty();
-      }
-      if (!flushed) {
-        close_reason = "drain_timeout";
-        force_close = true;
-        break;
-      }
-    }
-    // 5. Nothing moved and the socket is clogged: wait for writability.
-    if (!sent_any && !have && !outbuf.empty()) {
-      pollfd pfd{conn.fd, POLLOUT, 0};
-      ::poll(&pfd, 1, static_cast<int>(poll_iv.count()));
-    }
+    add_connection(fd, fd, /*socket=*/true);
   }
+}
 
-  if (force_close) {
-    // Unblock the reader (and the peer) immediately; undelivered
-    // responses are dropped — their executions finish in the service
-    // and land in the store regardless.
-    conn.dead.store(true, std::memory_order_release);
-    ::shutdown(conn.fd, SHUT_RDWR);
-  } else {
-    // Graceful: everything flushed and the reader saw EOF. Half-close
-    // so the client reading our stream sees EOF after the last byte.
-    ::shutdown(conn.fd, SHUT_WR);
-  }
+void NetServer::add_connection(int in_fd, int out_fd, bool socket) {
+  const std::uint64_t id = next_conn_id_++;
+  connections_.push_back(std::make_unique<Connection>(
+      id, in_fd, out_fd, socket, cfg_.max_line_bytes));
+  count("net.accepted");
+  emit_conn(id, "open", "");
+}
+
+void NetServer::count_close(const Connection& conn, const char* reason) {
+  // Runs before the caller drops the connection (closing its socket), so a
+  // client that sees EOF also sees the count. Undelivered responses are
+  // dropped; their executions still finish and land in the store.
   count("net.disconnects");
-  emit_conn(conn.id, "close", close_reason);
-  conn.writer_exited.store(true, std::memory_order_release);
+  emit_conn(conn.id, "close", reason);
 }
 
-void NetServer::reap_finished() {
-  std::vector<std::unique_ptr<Connection>> finished;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      Connection& c = **it;
-      if (c.reader_exited.load(std::memory_order_acquire) &&
-          c.writer_exited.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(*it));
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
+void NetServer::read_input(Connection& conn) {
+  char buf[1 << 16];
+  const ssize_t n = ::read(conn.in_fd, buf, sizeof buf);
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return;
+  }
+  if (n <= 0) {
+    // An orderly EOF flushes a final unterminated line; an error drops it.
+    if (n == 0) {
+      if (const auto last = conn.splitter.finish()) handle_line(conn, *last);
+    }
+    conn.reading = false;
+    return;
+  }
+  count("net.bytes_in", static_cast<std::uint64_t>(n));
+  try {
+    conn.splitter.feed(
+        std::string_view(buf, static_cast<std::size_t>(n)),
+        [&](std::string_view line) { handle_line(conn, line); });
+  } catch (const FrameError& e) {
+    // A framing violation poisons the rest of the stream: answer with one
+    // typed envelope and stop reading; earlier responses still flush.
+    count("net.frame_errors");
+    push_error(conn, "", e.what(), svc::error_code::kFrame, 0);
+    conn.reading = false;
+  }
+}
+
+// One NDJSON line: a campaign request (-> an ordered pending future), a
+// cancel control line (no response slot — the cancellation outcome is
+// observable on the *target's* envelope), or a typed error envelope.
+void NetServer::handle_line(Connection& conn, std::string_view line) {
+  ++conn.lines;
+  if (is_blank(line)) return;
+  const std::string number = std::to_string(conn.lines);
+  try {
+    svc::ParsedLine parsed = svc::parse_line(line, conn.origin + ":" + number);
+    if (parsed.cancel) {
+      count("net.cancels");
+      service_.cancel(parsed.cancel->target);
+      return;
+    }
+    count("net.requests");
+    conn.pending.push_back(
+        service_.submit(std::move(*parsed.request), nullptr,
+                        [waker = waker_] { waker->notify(); }));
+  } catch (const svc::QueueFullError& e) {
+    count("net.requests");
+    push_error(conn, e.id, e.what(), svc::error_code::kQueueFull,
+               e.retry_after_hint);
+  } catch (const svc::ServiceStoppedError& e) {
+    count("net.requests");
+    push_error(conn, "line" + number, e.what(), svc::error_code::kDrained,
+               25);
+  } catch (const std::exception& e) {
+    // Parse / validation errors (RequestError, JsonError).
+    count("net.requests");
+    push_error(conn, "line" + number, e.what(), svc::error_code::kRequest, 0);
+  }
+}
+
+void NetServer::push_error(Connection& conn, svc::RequestId id,
+                           std::string what, const char* code,
+                           std::uint64_t retry_hint) {
+  svc::CampaignResponse resp;
+  resp.id = std::move(id);
+  resp.ok = false;
+  resp.error = std::move(what);
+  resp.error_code = code;
+  resp.retry_after_hint = retry_hint;
+  std::promise<svc::CampaignResponse> ready;
+  ready.set_value(std::move(resp));
+  conn.pending.push_back(ready.get_future().share());
+}
+
+const char* NetServer::respond(Connection& conn) {
+  while (!conn.pending.empty() &&
+         conn.pending.front().wait_for(std::chrono::seconds(0)) ==
+             std::future_status::ready) {
+    const svc::CampaignResponse& resp = conn.pending.front().get();
+    write_stream_file(resp);  // the stream lands before its envelope
+    if (obs::TraceSink* sink = sink_.load()) {
+      obs::TraceEvent ev("net_rr");
+      ev.u64("conn", conn.id).str("id", resp.id).boolean("ok", resp.ok);
+      sink->write(ev);
+    }
+    conn.outbuf += resp.to_json();
+    conn.outbuf.push_back('\n');
+    count("net.responses");
+    if (!resp.ok) count("net.error_responses");
+    conn.pending.pop_front();
+  }
+  while (!conn.outbuf.empty()) {
+    const ssize_t n =
+        conn.socket ? ::send(conn.out_fd, conn.outbuf.data(),
+                             conn.outbuf.size(), MSG_NOSIGNAL)
+                    : ::write(conn.out_fd, conn.outbuf.data(),
+                              conn.outbuf.size());
+    if (n > 0) {
+      count("net.bytes_out", static_cast<std::uint64_t>(n));
+      conn.outbuf.erase(0, static_cast<std::size_t>(n));
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    } else {
+      return "error";  // peer reset / closed under us
     }
   }
-  for (const auto& c : finished) {
-    if (c->reader.joinable()) c->reader.join();
-    if (c->writer.joinable()) c->writer.join();
-    ::close(c->fd);
+  // Slow-reader guard: un-acked bytes past the cap are a typed overflow
+  // disconnect, not unbounded buffering.
+  if (conn.outbuf.size() > cfg_.max_write_buffer) {
+    count("net.overflow_disconnects");
+    return "overflow";
   }
-}
-
-std::size_t NetServer::active_connections() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return connections_.size();
+  return nullptr;
 }
 
 void NetServer::shutdown() {
-  if (stopping_.exchange(true, std::memory_order_acq_rel)) {
-    // Second call: the first one already tore everything down.
-    return;
-  }
-  // Wake every poller (acceptor + all readers): the byte is never read
-  // back, so the pipe stays readable for all of them.
-  (void)!::write(wake_pipe_[1], "x", 1);
-  if (acceptor_.joinable()) acceptor_.join();
-  // Join all connections: readers exit on the wake pipe, writers flush
-  // within drain_flush_ms and exit.
-  std::vector<std::unique_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    conns.swap(connections_);
-  }
-  for (const auto& c : conns) {
-    c->cv.notify_all();
-    if (c->reader.joinable()) c->reader.join();
-    if (c->writer.joinable()) c->writer.join();
-    ::close(c->fd);
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
+  if (stopping_.exchange(true)) return;  // the first call tore it down
+  waker_->notify();
+  if (loop_.joinable()) loop_.join();
+  if (listen_fd_ >= 0) ::close(listen_fd_);  // left only by a poll failure
+  listen_fd_ = -1;
 }
 
 obs::CounterRegistry NetServer::counters() const {

@@ -96,7 +96,8 @@ void CampaignService::start() {
 }
 
 std::shared_future<CampaignResponse> CampaignService::submit_locked(
-    CampaignRequest&& req, obs::ProgressObserver* progress) {
+    CampaignRequest&& req, obs::ProgressObserver* progress,
+    CompletionHook on_complete) {
   if (stopping_) throw ServiceStoppedError();
   if (req.id.empty()) req.id = "r" + std::to_string(next_id_++);
 
@@ -109,6 +110,7 @@ std::shared_future<CampaignResponse> CampaignService::submit_locked(
   }
   sub.promise = std::make_shared<std::promise<CampaignResponse>>();
   sub.future = sub.promise->get_future().share();
+  sub.on_complete = std::move(on_complete);
 
   const std::uint64_t key = coalesce_key(req);
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
@@ -164,9 +166,10 @@ void CampaignService::promote_locked(const std::shared_ptr<Execution>& ex,
 }
 
 std::shared_future<CampaignResponse> CampaignService::submit(
-    CampaignRequest req, obs::ProgressObserver* progress) {
+    CampaignRequest req, obs::ProgressObserver* progress,
+    CompletionHook on_complete) {
   std::lock_guard<std::mutex> lk(mu_);
-  return submit_locked(std::move(req), progress);
+  return submit_locked(std::move(req), progress, std::move(on_complete));
 }
 
 std::vector<std::shared_future<CampaignResponse>>
@@ -176,7 +179,7 @@ CampaignService::submit_batch(std::vector<CampaignRequest> reqs) {
   std::lock_guard<std::mutex> lk(mu_);
   for (CampaignRequest& req : reqs) {
     try {
-      futures.push_back(submit_locked(std::move(req), nullptr));
+      futures.push_back(submit_locked(std::move(req), nullptr, nullptr));
     } catch (const QueueFullError& e) {
       auto p = std::make_shared<std::promise<CampaignResponse>>();
       auto f = p->get_future().share();
@@ -234,13 +237,10 @@ bool CampaignService::step(unsigned /*worker*/) {
     }
     lk.unlock();
     for (Subscriber& sub : expired) {
-      try {
-        sub.promise->set_value(error_response(
-            sub.id, "queue deadline exceeded before a worker claimed the "
-                    "request",
-            error_code::kDeadline));
-      } catch (const std::future_error&) {
-      }
+      resolve(sub, error_response(sub.id,
+                                  "queue deadline exceeded before a worker "
+                                  "claimed the request",
+                                  error_code::kDeadline));
     }
     if (!ex) return true;
   }
@@ -449,12 +449,9 @@ CampaignService::CancelResult CampaignService::cancel(const RequestId& id) {
       return CancelResult::kNotFound;
     }
   }
-  try {
-    cancelled.promise->set_value(error_response(
-        cancelled.id, "request cancelled while queued",
-        error_code::kCancelled));
-  } catch (const std::future_error&) {
-  }
+  resolve(cancelled, error_response(cancelled.id,
+                                    "request cancelled while queued",
+                                    error_code::kCancelled));
   return CancelResult::kCancelled;
 }
 
@@ -480,13 +477,18 @@ void CampaignService::finish(const std::shared_ptr<Execution>& ex,
     CampaignResponse resp = base;
     resp.id = sub.id;
     resp.coalesced = sub.coalesced;
-    try {
-      sub.promise->set_value(std::move(resp));
-    } catch (const std::future_error&) {
-      // Already satisfied (double shutdown): nothing to deliver.
-    }
+    resolve(sub, std::move(resp));
   }
   if (astore_ && cfg_.gc_shard_bytes > 0) collect_one_shard();
+}
+
+void CampaignService::resolve(Subscriber& sub, CampaignResponse resp) {
+  try {
+    sub.promise->set_value(std::move(resp));
+  } catch (const std::future_error&) {
+    return;  // already satisfied (double shutdown): nothing to deliver
+  }
+  if (sub.on_complete) sub.on_complete();
 }
 
 void CampaignService::collect_one_shard() {
@@ -528,11 +530,8 @@ void CampaignService::stop(const char* code) {
                          : "campaign service stopped before execution";
   for (const std::shared_ptr<Execution>& ex : unclaimed) {
     for (Subscriber& sub : ex->subscribers) {
-      try {
-        sub.promise->set_value(error_response(
-            sub.id, what, code, draining ? retry_hint_ms(0) : 0));
-      } catch (const std::future_error&) {
-      }
+      resolve(sub, error_response(sub.id, what, code,
+                                  draining ? retry_hint_ms(0) : 0));
     }
   }
   // drain() and the destructor's shutdown() run sequentially on the

@@ -50,6 +50,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -130,14 +131,22 @@ class CampaignService {
   /// Spawns the scheduler (idempotent; no-op after shutdown()).
   void start();
 
+  /// Runs once, right after a subscriber's future becomes ready, on the
+  /// thread that resolved it: a worker (result, claim-time deadline), or
+  /// the caller of cancel() / drain() / shutdown(). It must be cheap and
+  /// must not call back into the service.
+  using CompletionHook = std::function<void()>;
+
   /// Admits one request (assigning an id if empty) and returns the future
   /// response. Coalesces with a queued/in-flight execution of the same
   /// coalesce_key() when possible. Throws QueueFullError /
   /// ServiceStoppedError; never blocks on admission. The optional
   /// progress observer is leader-only and best-effort (it must outlive
-  /// the execution).
+  /// the execution); the optional hook announces this request's
+  /// completion (an event loop uses it to wake instead of polling).
   std::shared_future<CampaignResponse> submit(
-      CampaignRequest req, obs::ProgressObserver* progress = nullptr);
+      CampaignRequest req, obs::ProgressObserver* progress = nullptr,
+      CompletionHook on_complete = nullptr);
 
   /// Admits a whole batch under one admission lock — duplicate keys
   /// inside the batch coalesce deterministically regardless of worker
@@ -196,6 +205,7 @@ class CampaignService {
     bool has_deadline = false;
     std::shared_ptr<std::promise<CampaignResponse>> promise;
     std::shared_future<CampaignResponse> future;
+    CompletionHook on_complete;
   };
   struct Execution {
     std::uint64_t key = 0;
@@ -226,7 +236,12 @@ class CampaignService {
   };
 
   std::shared_future<CampaignResponse> submit_locked(
-      CampaignRequest&& req, obs::ProgressObserver* progress);
+      CampaignRequest&& req, obs::ProgressObserver* progress,
+      CompletionHook on_complete);
+  /// Sets a subscriber's response and fires its completion hook. Every
+  /// path that answers a subscriber (finish, cancel, the claim-time
+  /// deadline, stop) goes through here, outside mu_.
+  static void resolve(Subscriber& sub, CampaignResponse resp);
   /// Inserts into queue_ keeping (priority desc, seq asc) order.
   void enqueue_locked(std::shared_ptr<Execution> ex);
   /// Re-sorts a queued execution after a priority promotion.

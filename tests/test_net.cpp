@@ -2,8 +2,9 @@
 // loopback determinism suite (concurrent clients, the PR 7 acceptance
 // mix byte-identical to solo runs, slow-reader overflow disconnects,
 // queue-level cancel/deadline/priority over the wire), graceful drain,
-// cross-process store locking, and process-level SIGTERM-drain +
-// --resume against the real `rls` binary.
+// the one-loop resource bound (no thread or fd per idle connection),
+// cross-process store locking, process-level SIGTERM-drain + --resume
+// against the real `rls` binary, and `rls serve` on stdin/stdout.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -21,6 +22,7 @@
 #include <future>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -339,7 +341,6 @@ TEST(NetLoopback, SlowReaderGetsBoundedBufferThenTypedDisconnect) {
   net::NetConfig ncfg;
   ncfg.send_buffer_bytes = 4096;   // tiny kernel buffer: back-pressure fast
   ncfg.max_write_buffer = 8192;    // overflow after ~8 KiB of un-acked bytes
-  ncfg.poll_interval_ms = 5;
   net::NetServer server(service, ncfg);
 
   // 256 identical requests coalesce into one cheap execution but yield
@@ -494,6 +495,43 @@ TEST(NetDrain, QueuedRequestsResolveWithTypedDrainedEnvelopes) {
   EXPECT_FALSE(client.recv_line());
   server.shutdown();
   EXPECT_EQ(server.counters().value("net.responses"), 2u);
+}
+
+// ---- NetResources: one loop, however many connections ---------------------
+
+std::size_t count_entries(const char* dir) {
+  std::size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(NetResources, IdleConnectionsAddNoThreadsAndLeakNoFds) {
+  if (!fs::exists("/proc/self/task")) GTEST_SKIP() << "needs /proc";
+  svc::ServiceConfig scfg;
+  scfg.autostart = false;  // no workers: only the server could add threads
+  svc::CampaignService service(std::move(scfg));
+  net::NetServer server(service, net::NetConfig{});
+  const std::size_t threads = count_entries("/proc/self/task");
+  const std::size_t fds = count_entries("/proc/self/fd");
+  {
+    std::vector<std::unique_ptr<net::NetClient>> clients;
+    for (int k = 0; k < 32; ++k) {
+      clients.push_back(
+          std::make_unique<net::NetClient>("127.0.0.1", server.port()));
+    }
+    ASSERT_TRUE(wait_until(
+        [&] { return server.counters().value("net.accepted") == 32u; }));
+    EXPECT_EQ(count_entries("/proc/self/task"), threads)
+        << "32 open connections must not start threads";
+  }
+  // The clients closed their sockets: the loop reads each EOF and closes
+  // its end at once.
+  EXPECT_TRUE(
+      wait_until([&] { return count_entries("/proc/self/fd") == fds; }));
+  EXPECT_EQ(server.counters().value("net.disconnects"), 32u);
 }
 
 // ---- NetSharedStore: cross-instance store locking ------------------------
@@ -796,6 +834,262 @@ TEST(NetProcess, SigtermDrainThenResumeReproducesTheSuffix) {
     EXPECT_LT(resume_lines.size(), base_lines.size());
     EXPECT_TRUE(is_suffix(resume_lines, base_lines));
   }
+}
+
+// ---- NetStdin: `rls serve` on stdin/stdout -------------------------------
+
+/// `rls serve <extra...>` over pipes: request bytes go to `in`, envelopes
+/// come back on `out`. A process still running at destruction is killed.
+class StdinServe {
+ public:
+  explicit StdinServe(const std::vector<std::string>& extra,
+                      bool nonblocking_stdout = false) {
+    int inpipe[2];
+    int outpipe[2];
+    if (::pipe2(inpipe, O_CLOEXEC) != 0 || ::pipe2(outpipe, O_CLOEXEC) != 0) {
+      throw std::runtime_error("pipe failed");
+    }
+    // File status flags belong to the open file description, so the
+    // server's stdout inherits O_NONBLOCK through dup2.
+    if (nonblocking_stdout) ::fcntl(outpipe[1], F_SETFL, O_NONBLOCK);
+    std::vector<std::string> args = {RLS_CLI_PATH, "serve"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    pid_ = ::fork();
+    if (pid_ < 0) throw std::runtime_error("fork failed");
+    if (pid_ == 0) {  // only async-signal-safe calls until exec
+      ::dup2(inpipe[0], STDIN_FILENO);
+      ::dup2(outpipe[1], STDOUT_FILENO);
+      ::execv(argv[0], argv.data());
+      ::_exit(127);
+    }
+    ::close(inpipe[0]);
+    ::close(outpipe[1]);
+    in_ = inpipe[1];
+    out_ = outpipe[0];
+  }
+  ~StdinServe() {
+    if (pid_ > 0) ::kill(pid_, SIGKILL);
+    (void)exit_code();
+  }
+  StdinServe(const StdinServe&) = delete;
+  StdinServe& operator=(const StdinServe&) = delete;
+
+  [[nodiscard]] pid_t pid() const noexcept { return pid_; }
+
+  void send(const std::string& bytes) const {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::write(in_, bytes.data() + off, bytes.size() - off);
+      if (n <= 0) throw std::runtime_error("write to rls serve failed");
+      off += static_cast<std::size_t>(n);
+    }
+  }
+
+  void close_stdin() {
+    if (in_ >= 0) ::close(in_);
+    in_ = -1;
+  }
+
+  /// The next stdout line, or nullopt at EOF or after `timeout_ms`
+  /// without one.
+  std::optional<std::string> read_line(int timeout_ms = 60000) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(timeout_ms);
+    while (out_ >= 0) {
+      const std::size_t nl = pending_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = pending_.substr(0, nl);
+        pending_.erase(0, nl + 1);
+        return line;
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          until - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return std::nullopt;
+      pollfd pfd{out_, POLLIN, 0};
+      if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) continue;
+      char buf[4096];
+      const ssize_t n = ::read(out_, buf, sizeof buf);
+      if (n <= 0) return std::nullopt;
+      pending_.append(buf, static_cast<std::size_t>(n));
+    }
+    return std::nullopt;
+  }
+
+  /// Closes stdin, reaps the process and returns its exit code.
+  int exit_code() {
+    close_stdin();
+    if (out_ >= 0) ::close(out_);
+    out_ = -1;
+    if (pid_ <= 0) return exit_code_;
+    int status = 0;
+    ::waitpid(pid_, &status, 0);
+    pid_ = -1;
+    exit_code_ = WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
+    return exit_code_;
+  }
+
+ private:
+  pid_t pid_ = -1;
+  int in_ = -1;
+  int out_ = -1;
+  int exit_code_ = -1;
+  std::string pending_;  ///< read from `out_`, not yet returned as a line
+};
+
+bool has(const std::optional<std::string>& line, const std::string& part) {
+  return line && line->find(part) != std::string::npos;
+}
+
+TEST(NetStdin, EnvelopeArrivesWhileStdinStaysOpen) {
+  StdinServe proc({"--workers=1"});
+  svc::CampaignRequest req = s27_request();
+  req.id = "open";
+  proc.send(req.canonical_json() + "\n");
+  // No more input and no EOF: the finished envelope must not wait for
+  // either.
+  const auto line = proc.read_line(5000);
+  ASSERT_TRUE(line.has_value()) << "no envelope within 5 s";
+  EXPECT_TRUE(has(line, "\"id\":\"open\"")) << *line;
+  EXPECT_TRUE(has(line, "\"ok\":true")) << *line;
+  EXPECT_EQ(proc.exit_code(), 0);
+}
+
+TEST(NetStdin, MixedInputAnswersInInputOrderWithTypedCodes) {
+  StdinServe proc({"--workers=2"});
+  svc::CampaignRequest a = s27_request(16);
+  a.id = "a";
+  svc::CampaignRequest b = s27_request(32);
+  b.id = "b";
+  svc::CampaignRequest c = s27_request(64);
+  c.id = "c";
+  proc.send(a.canonical_json() + "\n" + b.canonical_json() + "\n" +
+            "{\"schema\":2,\"cancel\":\"ghost\"}\n" +
+            "{\"schema\":1,\"circuit\":\n" +  // line 4: malformed
+            " \r \t\n" +                       // line 5: blank
+            c.canonical_json() + "\r\n");
+  proc.close_stdin();
+  const auto first = proc.read_line();
+  const auto second = proc.read_line();
+  const auto third = proc.read_line();
+  const auto fourth = proc.read_line();
+  EXPECT_TRUE(has(first, "\"id\":\"a\",\"ok\":true")) << first.value_or("");
+  EXPECT_TRUE(has(second, "\"id\":\"b\",\"ok\":true")) << second.value_or("");
+  // The cancel line and the blank line take no slot; the malformed line
+  // answers in its own place, named after its line number.
+  EXPECT_TRUE(has(third, "\"id\":\"line4\",\"ok\":false"))
+      << third.value_or("");
+  EXPECT_TRUE(has(third, "\"error\":\"stdin:4: ")) << third.value_or("");
+  EXPECT_TRUE(has(third, "\"error_code\":\"request\"")) << third.value_or("");
+  EXPECT_TRUE(has(fourth, "\"id\":\"c\",\"ok\":true")) << fourth.value_or("");
+  EXPECT_FALSE(proc.read_line().has_value());
+  EXPECT_EQ(proc.exit_code(), 1) << "one envelope failed";
+}
+
+TEST(NetStdin, ExitCodeIsOneIffAnEnvelopeFailed) {
+  svc::CampaignRequest good = s27_request();
+  good.id = "good";
+  svc::CampaignRequest unknown = s27_request();
+  unknown.id = "unknown";
+  unknown.circuit = "s27x";  // fails at execution, typed "request"
+  for (const bool fail : {false, true}) {
+    StdinServe proc({"--workers=1"});
+    proc.send(good.canonical_json() + "\n");
+    if (fail) proc.send(unknown.canonical_json() + "\n");
+    proc.close_stdin();
+    EXPECT_TRUE(has(proc.read_line(), "\"id\":\"good\",\"ok\":true"));
+    if (fail) {
+      const auto line = proc.read_line();
+      EXPECT_TRUE(has(line, "\"id\":\"unknown\",\"ok\":false"));
+      EXPECT_TRUE(has(line, "\"error_code\":\"request\""));
+    }
+    EXPECT_FALSE(proc.read_line().has_value());
+    EXPECT_EQ(proc.exit_code(), fail ? 1 : 0);
+  }
+}
+
+TEST(NetStdin, FrameErrorEndsTheInputWithAnEmptyIdLikeTcp) {
+  StdinServe proc({"--workers=1", "--max-line-bytes=32"});
+  svc::CampaignRequest req = s27_request();
+  req.id = "long";
+  // An oversize line without its '\n': the frame error must be the only
+  // answer, and the buffered line must never run.
+  proc.send(req.canonical_json());
+  const auto line = proc.read_line();
+  EXPECT_TRUE(has(line, "\"id\":\"\",\"ok\":false")) << line.value_or("");
+  EXPECT_TRUE(has(line, "\"error_code\":\"frame\"")) << line.value_or("");
+  proc.close_stdin();
+  EXPECT_FALSE(proc.read_line().has_value());
+  EXPECT_EQ(proc.exit_code(), 1);
+}
+
+TEST(NetStdin, NonBlockingStdoutLosesNoEnvelope) {
+  // stdout shares its file description with whoever spawned the server,
+  // and that process may have made it non-blocking. 400 coalesced
+  // envelopes (~80 KB) overflow a 64 KB pipe that nobody reads yet.
+  StdinServe proc({"--workers=1"}, /*nonblocking_stdout=*/true);
+  std::string input;
+  for (int k = 0; k < 400; ++k) {
+    svc::CampaignRequest req = s27_request();
+    req.id = "nb" + std::to_string(k);
+    input += req.canonical_json() + "\n";
+  }
+  proc.send(input);
+  proc.close_stdin();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  for (int k = 0; k < 400; ++k) {
+    const auto line = proc.read_line();
+    ASSERT_TRUE(has(line, "\"id\":\"nb" + std::to_string(k) + "\",\"ok\":true"))
+        << "envelope " << k << ": " << line.value_or("<none>");
+  }
+  EXPECT_FALSE(proc.read_line().has_value());
+  EXPECT_EQ(proc.exit_code(), 0);
+}
+
+TEST(NetStdin, SigtermDrainsQueuedRequestsAndExitsZero) {
+  const ScratchDir dir("stdin-drain");
+  const std::string store = dir.path() + "/store";
+  StdinServe proc({"--store-dir=" + store, "--workers=1"});
+  // "slow" holds the only worker for seconds after its first committed
+  // artifact; q1 and q2 (distinct keys) queue behind it.
+  svc::CampaignRequest slow;
+  slow.id = "slow";
+  slow.circuit = "s420";
+  slow.options.p2.d1_order = {1};
+  slow.options.p2.max_iterations = 1;
+  slow.options.p2.n_same_fc = 1;
+  slow.options.p2.sim_threads = 1;
+  slow.options.max_attempts = 8;
+  slow.options.max_combos_on_failure = 8;
+  svc::CampaignRequest q1 = s27_request(16);
+  q1.id = "q1";
+  svc::CampaignRequest q2 = s27_request(32);
+  q2.id = "q2";
+  proc.send(slow.canonical_json() + "\n" + q1.canonical_json() + "\n" +
+            q2.canonical_json() + "\n");
+  ASSERT_TRUE(wait_until([&] {
+    if (!fs::exists(store)) return false;  // the service creates it
+    for (const auto& ent : fs::recursive_directory_iterator(store)) {
+      if (ent.is_regular_file() && ent.path().filename() != ".lock") {
+        return true;
+      }
+    }
+    return false;
+  }));
+  ::kill(proc.pid(), SIGTERM);  // stdin stays open
+  const auto first = proc.read_line();
+  EXPECT_TRUE(has(first, "\"id\":\"slow\",\"ok\":true")) << first.value_or("");
+  for (const char* id : {"q1", "q2"}) {
+    const auto line = proc.read_line();
+    EXPECT_TRUE(has(line, std::string("\"id\":\"") + id + "\",\"ok\":false"))
+        << line.value_or("");
+    EXPECT_TRUE(has(line, "\"error_code\":\"drained\"")) << line.value_or("");
+    EXPECT_TRUE(has(line, "\"retry_after_hint\":25")) << line.value_or("");
+  }
+  EXPECT_FALSE(proc.read_line().has_value());
+  EXPECT_EQ(proc.exit_code(), 0);
 }
 
 #endif  // RLS_CLI_PATH

@@ -27,15 +27,11 @@
 // `run`, `batch` and `serve` all route through svc::CampaignService —
 // `rls run` builds a svc::CampaignRequest from its flags (print it with
 // --dump-request) and executes it synchronously.
-#include <poll.h>
 #include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cerrno>
 #include <cstdio>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -54,7 +50,6 @@
 #include "fuzz/fuzz.hpp"
 #include "gen/registry.hpp"
 #include "net/client.hpp"
-#include "net/framing.hpp"
 #include "net/server.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/stats.hpp"
@@ -455,16 +450,13 @@ bool emit_response(const svc::CampaignResponse& resp,
   return resp.ok;
 }
 
-svc::CampaignResponse parse_error_response(
-    std::string id, std::string what,
-    std::string code = svc::error_code::kRequest,
-    std::uint64_t retry_after_hint = 0) {
+svc::CampaignResponse parse_error_response(std::string id,
+                                           std::string what) {
   svc::CampaignResponse resp;
   resp.id = std::move(id);
   resp.ok = false;
   resp.error = std::move(what);
-  resp.error_code = std::move(code);
-  resp.retry_after_hint = retry_after_hint;
+  resp.error_code = svc::error_code::kRequest;
   return resp;
 }
 
@@ -520,9 +512,9 @@ int cmd_batch(const std::string& file, const SvcFlags& flags) {
   return all_ok ? 0 : 1;
 }
 
-// Self-pipe written by the SIGINT/SIGTERM handler; poll()ed by both
-// serve front ends so a stop request interrupts any blocking wait. The
-// byte is never drained — once a stop is requested it stays requested.
+// Self-pipe written by the SIGINT/SIGTERM handler; `rls serve` waits on
+// it next to its server. The byte is never drained — once a stop is
+// requested it stays requested.
 int g_sig_pipe[2] = {-1, -1};
 
 extern "C" void on_stop_signal(int) {
@@ -543,168 +535,58 @@ void install_stop_handlers() {
   ::signal(SIGPIPE, SIG_IGN);  // dead clients are per-connection events
 }
 
-/// stdin front end: NDJSON on stdin, envelopes on stdout. Shares the
-/// framing (LineSplitter), line dispatch (parse_line: requests + cancel
-/// control lines) and drain semantics with the TCP front end, so a
-/// SIGTERM'd server leaves the same store state either way and
-/// `--resume` picks up identically.
-int serve_stdin(svc::CampaignService& service, const SvcFlags& flags) {
-  std::deque<std::shared_future<svc::CampaignResponse>> pending;
-  bool all_ok = true;
-  // Responses print in admission order; completed leaders are drained
-  // after every accepted chunk so a long-lived session streams results
-  // instead of buffering them until EOF.
-  const auto drain = [&](bool block) {
-    while (!pending.empty()) {
-      if (!block && pending.front().wait_for(std::chrono::seconds(0)) !=
-                        std::future_status::ready) {
-        break;
-      }
-      all_ok = emit_response(pending.front().get(), flags.stream_dir) &&
-               all_ok;
-      pending.pop_front();
-    }
-  };
-  std::size_t lineno = 0;
-  const auto handle_line = [&](std::string_view line) {
-    ++lineno;
-    if (line.find_first_not_of(" \t") == std::string_view::npos) return;
-    const std::string origin = "stdin:" + std::to_string(lineno);
-    try {
-      svc::ParsedLine parsed = svc::parse_line(line, origin);
-      if (parsed.cancel) {
-        // No envelope for the control line itself — the outcome shows
-        // up on the *target* request's envelope (typed `cancelled` when
-        // it was still queued, the normal result when already running).
-        service.cancel(parsed.cancel->target);
-        return;
-      }
-      pending.push_back(service.submit(std::move(*parsed.request)));
-    } catch (const svc::QueueFullError& e) {
-      all_ok = emit_response(
-                   parse_error_response(e.id, e.what(),
-                                        svc::error_code::kQueueFull,
-                                        e.retry_after_hint),
-                   flags.stream_dir) &&
-               all_ok;
-    } catch (const std::exception& e) {
-      all_ok = emit_response(
-                   parse_error_response("line" + std::to_string(lineno),
-                                        e.what()),
-                   flags.stream_dir) &&
-               all_ok;
-    }
-  };
-
-  net::LineSplitter splitter(flags.max_line_bytes);
-  bool stop_requested = false;
-  bool eof = false;
-  while (!stop_requested && !eof) {
-    pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {g_sig_pipe[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      eof = true;
-      break;
-    }
-    if (fds[1].revents != 0) {
-      stop_requested = true;
-      break;
-    }
-    if (fds[0].revents == 0) continue;
-    char buf[1 << 16];
-    const ssize_t n = ::read(STDIN_FILENO, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      eof = true;
-      break;
-    }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    try {
-      splitter.feed({buf, static_cast<std::size_t>(n)}, handle_line);
-    } catch (const net::FrameError& e) {
-      // Framing is unrecoverable on a byte stream: the rest of the
-      // input has no trustworthy line boundaries.
-      all_ok = emit_response(
-                   parse_error_response("line" + std::to_string(lineno + 1),
-                                        e.what(), svc::error_code::kFrame),
-                   flags.stream_dir) &&
-               all_ok;
-      eof = true;
-    }
-    drain(/*block=*/false);
-  }
-  if (eof && !stop_requested) {
-    if (const std::optional<std::string> last = splitter.finish()) {
-      handle_line(*last);
-    }
-  }
-  if (stop_requested) {
-    // The graceful-drain contract (same as TCP mode): stop admitting,
-    // let claimed executions finish — their terminal checkpoints are
-    // what `--resume` adopts on restart — and resolve queued-unclaimed
-    // requests with typed `drained` envelopes, flushed below.
-    service.drain();
-  }
-  drain(/*block=*/true);
-  return stop_requested ? 0 : (all_ok ? 0 : 1);
-}
-
-/// TCP front end: NetServer does the per-connection work; this thread
-/// just parks on the signal pipe, then runs the drain sequence.
-int serve_tcp(svc::CampaignService& service, const SvcFlags& flags) {
-  unsigned long port = 0;
-  try {
-    port = std::stoul(flags.listen);
-  } catch (const std::exception&) {
-    port = 65536;  // force the range error below
-  }
-  if (port > 65535) {
-    throw cli::FlagError("--listen wants a TCP port (0..65535), got '" +
-                         flags.listen + "'");
-  }
-
-  net::NetConfig cfg;
-  cfg.bind_address = flags.bind;
-  cfg.port = static_cast<std::uint16_t>(port);
-  cfg.max_line_bytes = static_cast<std::size_t>(flags.max_line_bytes);
-  cfg.max_write_buffer = static_cast<std::size_t>(flags.max_write_buffer);
-  cfg.stream_dir = flags.stream_dir;
-  net::NetServer server(service, cfg);
-
-  std::unique_ptr<obs::JsonlSink> sink;
-  if (!flags.trace.empty()) {
-    sink = flags.trace == "-"
-               ? std::make_unique<obs::JsonlSink>(stdout)
-               : std::make_unique<obs::JsonlSink>(flags.trace);
-    server.set_sink(sink.get());
-  }
-
-  // Tests (and shell scripts) discover an ephemeral port from this line.
-  std::printf("rls serve: listening on %s:%u\n", flags.bind.c_str(),
-              static_cast<unsigned>(server.port()));
-  std::fflush(stdout);
-
-  for (;;) {
-    pollfd pfd{g_sig_pipe[0], POLLIN, 0};
-    if (::poll(&pfd, 1, -1) < 0 && errno == EINTR) continue;
-    break;
-  }
-  // Order matters: drain the service first so queued work resolves into
-  // typed `drained` envelopes, then shut the transport down so writers
-  // flush those envelopes before the sockets close.
-  service.drain();
-  server.shutdown();
-  return 0;
-}
-
 int cmd_serve(const SvcFlags& flags) {
   svc::CampaignService service(flags.to_config());
   install_stop_handlers();
-  if (!flags.listen.empty()) return serve_tcp(service, flags);
-  return serve_stdin(service, flags);
+  net::NetConfig cfg;
+  cfg.bind_address = flags.bind;
+  cfg.max_line_bytes = static_cast<std::size_t>(flags.max_line_bytes);
+  cfg.max_write_buffer = static_cast<std::size_t>(flags.max_write_buffer);
+  cfg.stream_dir = flags.stream_dir;
+  std::unique_ptr<obs::JsonlSink> sink;  // outlives the server
+  std::unique_ptr<net::NetServer> server;
+  if (flags.listen.empty()) {
+    // stdin/stdout are one more connection of the server's event loop.
+    server = std::make_unique<net::NetServer>(service, cfg, STDIN_FILENO,
+                                              STDOUT_FILENO);
+  } else {
+    unsigned long port = 0;
+    try {
+      port = std::stoul(flags.listen);
+    } catch (const std::exception&) {
+      port = 65536;  // force the range error below
+    }
+    if (port > 65535) {
+      throw cli::FlagError("--listen wants a TCP port (0..65535), got '" +
+                           flags.listen + "'");
+    }
+    cfg.port = static_cast<std::uint16_t>(port);
+    server = std::make_unique<net::NetServer>(service, cfg);
+    if (!flags.trace.empty()) {
+      sink = flags.trace == "-"
+                 ? std::make_unique<obs::JsonlSink>(stdout)
+                 : std::make_unique<obs::JsonlSink>(flags.trace);
+      server->set_sink(sink.get());
+    }
+    // Tests (and shell scripts) discover an ephemeral port from this line.
+    std::printf("rls serve: listening on %s:%u\n", flags.bind.c_str(),
+                static_cast<unsigned>(server->port()));
+    std::fflush(stdout);
+  }
+
+  const bool stopped = server->wait(g_sig_pipe[0]);
+  // Order matters: drain the service first so queued work resolves into
+  // typed `drained` envelopes, then shut the loop down so it flushes
+  // those envelopes before the connections close.
+  if (stopped) service.drain();
+  server->shutdown();
+  if (stopped) return 0;
+  // Input EOF on stdin; a TCP server ends by itself only if its listener
+  // failed.
+  return flags.listen.empty() &&
+                 server->counters().value("net.error_responses") == 0
+             ? 0
+             : 1;
 }
 
 int cmd_client(const std::string& host_port, const std::string& file) {

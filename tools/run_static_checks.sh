@@ -20,18 +20,20 @@
 #      regression corpus under tests/fuzz_corpus/ (always runs) — zero
 #      findings required for both;
 #   5. a perfbench smoke: `perfbench/run.py --workload table6-warm --seed 1
-#      --seconds 1 --trace 0` must exit 0 and end with a JSON summary line
-#      that says "correct": true (always runs) — catches a renamed CMake
-#      target perfbench links, or a changed src/ signature it compiles
-#      against, before a benchmark run does;
+#      --seconds 1 --trace T`, once with T=0 and once with T=1, must exit 0
+#      and end with a JSON summary line that says "correct": true and names
+#      exactly BENCHMARK.json's end_to_end metrics (T=0) or per_layer
+#      metrics (T=1) (always runs) — catches a renamed CMake target
+#      perfbench links, a changed src/ signature it compiles against, or a
+#      metric that goes missing, before a benchmark run does;
 #   6. unless --quick: the ASan+UBSan preset build + the rls::store suites
 #      (StoreSerde / StoreArtifact / StoreNegative / StoreCheckpoint /
 #      StoreResume / ...) plus the PackedFsim and campaign-service (Svc*)
 #      suites — the adversarial corruption tests must be clean under
 #      AddressSanitizer (typed errors, never UB), and so must the packed
 #      engine's word machinery and the service's admission/coalescing path —
-#      plus the net loopback determinism suite (NetFrame / NetLoopback /
-#      NetDrain / NetSharedStore);
+#      plus the net suites (NetFrame / NetLoopback / NetDrain /
+#      NetResources / NetSharedStore / NetStdin);
 #   7. unless --quick: the TSan preset build + thread-heavy test suites
 #      (ParallelFsim / PackedFsim / SweepEquiv / SweepAbort /
 #      EngineCrossCheck / WorkerPool / StoreConcurrency / Svc* / Net* /
@@ -121,35 +123,44 @@ echo "fuzz: clean"
 
 # ---- 5. perfbench smoke -------------------------------------------------
 # Builds perfbench/ (its own Release tree under .bench_build/) from this
-# checkout and runs one short warm workload; the last stdout line is the
-# JSON summary.
-echo "== perfbench smoke (table6-warm, seed 1, 1 s) =="
-bench_err="$(mktemp)"
-rc=0
-bench_out="$(python3 perfbench/run.py --workload table6-warm --seed 1 \
-  --seconds 1 --trace 0 2>"$bench_err")" || rc=$?
-if [[ "$rc" != 0 ]] || ! tail -n 1 <<<"$bench_out" | python3 -c '
+# checkout and runs one short warm workload, untraced and traced. The last
+# stdout line of each run is the JSON summary; its metric names must be
+# exactly the ones BENCHMARK.json declares for that pass.
+perfbench_smoke() {
+  local trace="$1" kind="$2" bench_err bench_out rc=0
+  echo "== perfbench smoke (table6-warm, seed 1, 1 s, trace $trace) =="
+  bench_err="$(mktemp)"
+  bench_out="$(python3 perfbench/run.py --workload table6-warm --seed 1 \
+    --seconds 1 --trace "$trace" 2>"$bench_err")" || rc=$?
+  if [[ "$rc" != 0 ]] || ! tail -n 1 <<<"$bench_out" | python3 -c '
 import json, sys
 try:
-    ok = json.loads(sys.stdin.read()).get("correct") is True
-except ValueError:
+    summary = json.loads(sys.stdin.read())
+    with open("BENCHMARK.json") as f:
+        want = sorted(m["name"] for m in json.load(f)[sys.argv[1]])
+    ok = summary["correct"] is True and sorted(summary["metrics"]) == want
+except (ValueError, KeyError, TypeError):
     ok = False
-sys.exit(0 if ok else 1)'; then
-  echo "perfbench smoke: FAILED (exit $rc, or no \"correct\": true summary)" >&2
-  tail -n 20 "$bench_err" >&2
-  printf '%s\n' "$bench_out" | tail -n 5 >&2
-  fail=1
-else
-  echo "perfbench smoke: ok"
-fi
-rm -f "$bench_err"
+sys.exit(0 if ok else 1)' "$kind"; then
+    echo "perfbench smoke (trace $trace): FAILED (exit $rc, no \"correct\":" \
+      "true summary, or metric names other than BENCHMARK.json $kind)" >&2
+    tail -n 20 "$bench_err" >&2
+    printf '%s\n' "$bench_out" | tail -n 5 >&2
+    fail=1
+  else
+    echo "perfbench smoke (trace $trace): ok"
+  fi
+  rm -f "$bench_err"
+}
+perfbench_smoke 0 end_to_end
+perfbench_smoke 1 per_layer
 
 # ---- 6. ASan store suites -----------------------------------------------
 if [[ "$quick" == 0 ]]; then
   echo "== ASan+UBSan (rls::store suites) =="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j"$(nproc)" >/dev/null
-  if ! ctest --test-dir build-asan -R "Store|PackedFsim|Svc|NetFrame|NetLoopback|NetDrain|NetSharedStore|Fuzz" --output-on-failure; then
+  if ! ctest --test-dir build-asan -R "Store|PackedFsim|Svc|NetFrame|NetLoopback|NetDrain|NetResources|NetSharedStore|NetStdin|Fuzz" --output-on-failure; then
     echo "asan store suites: FAILED" >&2
     fail=1
   fi
