@@ -29,7 +29,6 @@
 #include "sim/seq_sim.hpp"
 #include "store/artifact_store.hpp"
 #include "store/checkpoint.hpp"
-#include "store/serde.hpp"
 #include "svc/request.hpp"
 #include "svc/service.hpp"
 
@@ -322,34 +321,6 @@ struct BenchScratch {
     std::filesystem::remove_all(path, ec);
   }
 };
-
-// One full artifact roundtrip — encode a TS_0 test set, frame, crash-safe
-// put (write + fsync + rename), get, unframe, decode — the steady-state
-// cost a checkpointing campaign pays per save/load (BENCH_PR5.json).
-void BM_StoreRoundTrip(benchmark::State& state, const char* name) {
-  Fixture& f = fixture(name);
-  core::Ts0Config cfg;
-  const scan::TestSet ts0 = core::make_ts0(f.nl, cfg);
-  const BenchScratch scratch("roundtrip");
-  store::ArtifactStore astore(scratch.path);
-  store::ArtifactKey key{"bench", store::digest_circuit(f.nl), {}};
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    store::ByteWriter w;
-    store::write_test_set(w, ts0);
-    bytes += astore.put(key, w.buffer());
-    const auto body = astore.get(key);
-    store::ByteReader r(*body, "bench");
-    const scan::TestSet back = store::read_test_set(r);
-    benchmark::DoNotOptimize(back.tests.size());
-  }
-  state.counters["artifact_bytes"] =
-      static_cast<double>(bytes) / static_cast<double>(state.iterations());
-  state.counters["bytes/s"] = benchmark::Counter(
-      static_cast<double>(2 * bytes), benchmark::Counter::kIsRate);
-}
-BENCHMARK_CAPTURE(BM_StoreRoundTrip, s953, "s953");
-BENCHMARK_CAPTURE(BM_StoreRoundTrip, s5378, "s5378");
 
 // Cold-versus-warm campaign: the same bounded first-complete sweep against
 // an empty store (every iteration wipes it) and against a populated one

@@ -45,28 +45,19 @@ std::vector<Combo> enumerate_default_combos(std::size_t n_sv) {
 ComboRun run_combo(const sim::CompiledCircuit& cc,
                    const std::vector<fault::Fault>& target_faults,
                    const Combo& combo, const Procedure2Options& p2_opt,
-                   std::uint64_t ts0_seed, RunContext* ctx, Ts0Cache* cache,
+                   std::uint64_t ts0_seed, RunContext* ctx,
                    const std::atomic<bool>* abort) {
   Ts0Config cfg;
   cfg.l_a = combo.l_a;
   cfg.l_b = combo.l_b;
   cfg.n = combo.n;
   cfg.seed = ts0_seed;
-  std::shared_ptr<const scan::TestSet> cached;
-  scan::TestSet local;
-  const scan::TestSet* ts0 = nullptr;
-  if (cache) {
-    cached = cache->get(cc.nl(), cfg, p2_opt.engine, ctx);
-    ts0 = cached.get();
-  } else {
-    local = make_ts0(cc.nl(), cfg);
-    ts0 = &local;
-  }
+  const scan::TestSet ts0 = make_ts0(cc.nl(), cfg);
   if (combo.ncyc0 != 0) {
     // A TS_0-shaped set must cost exactly the closed-form N_cyc0 the combo
-    // was ranked by; a mismatch means a stale cache entry or a combo built
-    // against a different circuit.
-    const std::uint64_t actual = scan::n_cyc(*ts0, cc.flip_flops().size());
+    // was ranked by; a mismatch means a combo built against a different
+    // circuit.
+    const std::uint64_t actual = scan::n_cyc(ts0, cc.flip_flops().size());
     if (actual != combo.ncyc0) {
       throw std::logic_error(
           "run_combo: TS_0 cycle count " + std::to_string(actual) +
@@ -78,9 +69,9 @@ ComboRun run_combo(const sim::CompiledCircuit& cc,
   run.combo = combo;
   if (store::CampaignStore* cs = ctx ? ctx->store() : nullptr) {
     const store::P2Checkpoint ckpt(*cs, cs->p2_key(combo, p2_opt, ts0_seed));
-    run.result = run_procedure2(cc, *ts0, fl, p2_opt, ctx, abort, &ckpt);
+    run.result = run_procedure2(cc, ts0, fl, p2_opt, ctx, abort, &ckpt);
   } else {
-    run.result = run_procedure2(cc, *ts0, fl, p2_opt, ctx, abort);
+    run.result = run_procedure2(cc, ts0, fl, p2_opt, ctx, abort);
   }
   return run;
 }
@@ -140,14 +131,13 @@ std::optional<ComboRun> sweep_serial(
     const sim::CompiledCircuit& cc,
     const std::vector<fault::Fault>& target_faults,
     const std::vector<Combo>& combos, const Procedure2Options& p2_opt,
-    std::uint64_t ts0_seed, Ts0Cache& cache, std::vector<ComboRun>* runs_out,
-    RunContext* ctx, std::size_t attempt_base, CampaignCkpt* camp) {
+    std::uint64_t ts0_seed, std::vector<ComboRun>* runs_out, RunContext* ctx,
+    std::size_t attempt_base, CampaignCkpt* camp) {
   std::uint64_t attempt = 0;
   for (const Combo& c : combos) {
     if (ctx) ctx->set_attempt(attempt_base + attempt);
     const double t_combo = ctx ? ctx->elapsed_ms() : 0.0;
-    ComboRun run =
-        run_combo(cc, target_faults, c, p2_opt, ts0_seed, ctx, &cache);
+    ComboRun run = run_combo(cc, target_faults, c, p2_opt, ts0_seed, ctx);
     const bool complete = run.result.complete;
     if (runs_out) runs_out->push_back(run);
     if (ctx && ctx->observed()) {
@@ -186,9 +176,8 @@ std::optional<ComboRun> sweep_speculative(
     const sim::CompiledCircuit& cc,
     const std::vector<fault::Fault>& target_faults,
     const std::vector<Combo>& combos, const Procedure2Options& p2_opt,
-    std::uint64_t ts0_seed, Ts0Cache& cache, std::vector<ComboRun>* runs_out,
-    RunContext* ctx, unsigned workers, std::size_t attempt_base,
-    CampaignCkpt* camp) {
+    std::uint64_t ts0_seed, std::vector<ComboRun>* runs_out, RunContext* ctx,
+    unsigned workers, std::size_t attempt_base, CampaignCkpt* camp) {
   struct Slot {
     std::atomic<bool> cancel{false};
     bool claimed = false;
@@ -225,7 +214,7 @@ std::optional<ComboRun> sweep_speculative(
     if (ctx) child.set_store(ctx->store());
     if (buffer_events) child.set_sink(&s.buf);
     ComboRun run = run_combo(cc, target_faults, combos[i], p2_opt, ts0_seed,
-                             ctx ? &child : nullptr, &cache, &s.cancel);
+                             ctx ? &child : nullptr, &s.cancel);
     const double wall = ctx ? child.elapsed_ms() : 0.0;
     std::lock_guard lk(mu);
     s.run = std::move(run);
@@ -373,15 +362,10 @@ std::optional<ComboRun> first_complete_combo(
                    ? std::max(1u, std::thread::hardware_concurrency())
                    : combo_jobs;
   w = static_cast<unsigned>(std::min<std::size_t>(w, rest.size()));
-  Ts0Cache cache;
-  if (ctx) cache.set_store(ctx->store());
-  std::optional<ComboRun> winner =
-      w <= 1 ? sweep_serial(cc, target_faults, rest, p2_opt, ts0_seed, cache,
-                            runs_out, ctx, attempt_base, camp)
-             : sweep_speculative(cc, target_faults, rest, p2_opt, ts0_seed,
-                                 cache, runs_out, ctx, w, attempt_base, camp);
-  if (ctx) ctx->counters().add("sweep.ts0_cache_hits", cache.hits());
-  return winner;
+  return w <= 1 ? sweep_serial(cc, target_faults, rest, p2_opt, ts0_seed,
+                               runs_out, ctx, attempt_base, camp)
+                : sweep_speculative(cc, target_faults, rest, p2_opt, ts0_seed,
+                                    runs_out, ctx, w, attempt_base, camp);
 }
 
 }  // namespace rls::core

@@ -90,16 +90,15 @@ std::optional<ComboRun> first_complete_combo(
     unsigned combo_jobs = 1);
 
 /// Runs Procedure 2 for one specific combination against a fresh copy of
-/// the target faults. `cache`, when non-null, memoizes TS_0 generation
-/// per (L_A, L_B, N, seed); a non-zero combo.ncyc0 is validated against
-/// the generated set's actual cycle count (throws std::logic_error on
-/// mismatch — a stale cache entry or a mis-ranked combo). `abort` is the
-/// cooperative cancellation flag forwarded to run_procedure2.
+/// the target faults, on a TS_0 generated from `ts0_seed`. A non-zero
+/// combo.ncyc0 is validated against the generated set's actual cycle
+/// count (throws std::logic_error on mismatch — a combo ranked for
+/// another circuit). `abort` is the cooperative cancellation flag
+/// forwarded to run_procedure2.
 ComboRun run_combo(const sim::CompiledCircuit& cc,
                    const std::vector<fault::Fault>& target_faults,
                    const Combo& combo, const Procedure2Options& p2_opt,
                    std::uint64_t ts0_seed, RunContext* ctx = nullptr,
-                   Ts0Cache* cache = nullptr,
                    const std::atomic<bool>* abort = nullptr);
 
 }  // namespace rls::core

@@ -1,7 +1,6 @@
 #include "core/ts0.hpp"
 
 #include "rand/rng.hpp"
-#include "store/checkpoint.hpp"
 
 namespace rls::core {
 
@@ -26,53 +25,6 @@ scan::TestSet make_ts0(const netlist::Netlist& nl, const Ts0Config& cfg) {
   for (std::size_t i = 0; i < cfg.n; ++i) ts.tests.push_back(make_test(cfg.l_a));
   for (std::size_t i = 0; i < cfg.n; ++i) ts.tests.push_back(make_test(cfg.l_b));
   return ts;
-}
-
-std::shared_ptr<const scan::TestSet> Ts0Cache::get(const netlist::Netlist& nl,
-                                                   const Ts0Config& cfg,
-                                                   fault::Engine engine,
-                                                   RunContext* ctx) {
-  // Digest the content on every call, outside the lock: a netlist's
-  // address says nothing about its content once the caller may destroy
-  // one circuit and build another in the same storage.
-  const std::uint64_t circuit = store::digest_circuit(nl);
-  std::lock_guard lk(mu_);
-  // Key the engine's artifact identity: kPacked shares kConeDiff's sets
-  // (bit-identical results), so either engine hits the other's entries.
-  const Key key{circuit,
-                cfg.l_a,
-                cfg.l_b,
-                cfg.n,
-                cfg.seed,
-                static_cast<std::uint8_t>(fault::artifact_engine(engine))};
-  auto& slot = cache_[key];
-  if (slot) {
-    ++hits_;
-    return slot;
-  }
-  if (store_ != nullptr) {
-    const store::ArtifactKey akey = store_->ts0_key(cfg, engine);
-    if (std::optional<scan::TestSet> ts = store_->load_ts0(akey, ctx)) {
-      ++hits_;
-      slot = std::make_shared<const scan::TestSet>(std::move(*ts));
-      return slot;
-    }
-    slot = std::make_shared<const scan::TestSet>(make_ts0(nl, cfg));
-    store_->save_ts0(akey, *slot, ctx);
-    return slot;
-  }
-  slot = std::make_shared<const scan::TestSet>(make_ts0(nl, cfg));
-  return slot;
-}
-
-std::size_t Ts0Cache::hits() const {
-  std::lock_guard lk(mu_);
-  return hits_;
-}
-
-std::size_t Ts0Cache::size() const {
-  std::lock_guard lk(mu_);
-  return cache_.size();
 }
 
 }  // namespace rls::core

@@ -45,10 +45,6 @@ std::optional<Engine> parse_engine(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-Engine artifact_engine(Engine engine) noexcept {
-  return engine == Engine::kPacked ? Engine::kConeDiff : engine;
-}
-
 SeqFaultSim::SeqFaultSim(const sim::CompiledCircuit& cc)
     : cc_(&cc), ref_(cc) {
   values_.assign(cc.num_signals(), 0);

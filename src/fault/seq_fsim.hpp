@@ -91,13 +91,6 @@ enum class Engine : std::uint8_t {
 /// Parses an engine name; nullopt for anything outside engine_choices().
 [[nodiscard]] std::optional<Engine> parse_engine(std::string_view name) noexcept;
 
-/// Engine identity for artifact digests (rls::store, Ts0Cache). All
-/// engines are exact, so kPacked produces bit-identical artifacts to
-/// kConeDiff and shares its on-disk identity; kFullSweep keeps its
-/// historical distinct identity (pinned by StoreSerde tests). See
-/// DESIGN.md §10.
-[[nodiscard]] Engine artifact_engine(Engine engine) noexcept;
-
 class SeqFaultSim {
  public:
   explicit SeqFaultSim(const sim::CompiledCircuit& cc);

@@ -295,41 +295,50 @@ std::optional<std::string> sweep_width(const OracleEnv& env,
   return std::nullopt;
 }
 
+/// A ComboRun whose every field is drawn from the case seed: the codec
+/// sees the full u32/u64 range, not just what a small campaign reaches.
+core::ComboRun random_combo_run(const FuzzCase& c) {
+  rls::rand::Rng rng(c.seed ^ 0xC0DE'C0DE'C0DEull);
+  core::ComboRun run;
+  run.combo = {c.options.l_a, c.options.l_b, c.options.n, rng.next_u64()};
+  run.result.ts0_detected = rng.next_u64();
+  run.result.ncyc0 = run.combo.ncyc0;
+  run.result.applied.resize(rng.uniform(0, 8));
+  for (core::AppliedSet& a : run.result.applied) {
+    a.iteration = static_cast<std::uint32_t>(rng.next_u64());
+    a.d1 = static_cast<std::uint32_t>(rng.next_u64());
+    a.detected = rng.next_u64();
+    a.cycles = rng.next_u64();
+    a.limited_units = rng.next_u64();
+    a.total_vectors = rng.next_u64();
+  }
+  run.result.total_detected = rng.next_u64();
+  run.result.complete = rng.next_bit();
+  run.result.aborted = rng.next_bit();
+  return run;
+}
+
 std::optional<std::string> store_roundtrip(const OracleEnv& env,
                                            const std::string& case_dir,
                                            std::uint64_t* work) {
   *work += kOracleBaseWork;
-  // serde: encode -> decode -> encode must be byte-stable.
+  // serde: encode -> decode -> encode must be byte-stable. A ComboRun is
+  // the body of every p2 and campaign artifact.
   store::ByteWriter w1;
-  store::write_test_set(w1, env.ts);
+  store::write_combo_run(w1, random_combo_run(env.c));
   const std::vector<std::uint8_t> b1 = w1.buffer();
-  store::ByteReader r(b1, "fuzz:ts");
-  const scan::TestSet ts2 = store::read_test_set(r);
+  store::ByteReader r(b1, "fuzz:combo-run");
+  const core::ComboRun run2 = store::read_combo_run(r);
   r.expect_end();
   store::ByteWriter w2;
-  store::write_test_set(w2, ts2);
+  store::write_combo_run(w2, run2);
   if (w2.buffer() != b1) {
-    return "test-set serde re-encode differs (" + std::to_string(b1.size()) +
+    return "combo-run serde re-encode differs (" + std::to_string(b1.size()) +
            " vs " + std::to_string(w2.buffer().size()) + " bytes)";
   }
   if (store::fnv1a64(b1.data(), b1.size()) !=
       store::fnv1a64(w2.buffer().data(), w2.buffer().size())) {
-    return "test-set serde digest drift";
-  }
-  // Fault list with a deterministic flag pattern.
-  std::vector<std::uint8_t> flags(env.universe.size());
-  for (std::size_t i = 0; i < flags.size(); ++i) {
-    flags[i] = static_cast<std::uint8_t>((i ^ env.c.seed) & 1);
-  }
-  store::ByteWriter wf;
-  store::write_fault_list(wf, env.universe, flags);
-  store::ByteReader rf(wf.buffer(), "fuzz:fl");
-  std::vector<fault::Fault> faults2;
-  std::vector<std::uint8_t> flags2;
-  store::read_fault_list(rf, faults2, flags2);
-  rf.expect_end();
-  if (faults2 != env.universe || flags2 != flags) {
-    return "fault-list serde round-trip drift";
+    return "combo-run serde digest drift";
   }
 
   if (!env.c.options.use_store) return std::nullopt;
@@ -366,10 +375,8 @@ std::optional<std::string> campaign_warm(const OracleEnv& env,
   const auto run = [&](core::RunContext& ctx) {
     ctx.set_timing(false);
     ctx.set_store(&cs);
-    core::Ts0Cache cache;  // fresh per run: warm hits must come from disk
-    cache.set_store(&cs);
-    const core::ComboRun r = core::run_combo(env.cc, env.universe, combo, p2,
-                                             ts0_seed, &ctx, &cache, nullptr);
+    const core::ComboRun r =
+        core::run_combo(env.cc, env.universe, combo, p2, ts0_seed, &ctx);
     *work += ctx.counters().value("fsim.gate_evals");
     store::ByteWriter w;
     store::write_combo_run(w, r);

@@ -29,9 +29,11 @@
 //                      randomized W must produce byte-identical traces,
 //                      identical committed runs and identical fsim.*
 //                      counters (timing pinned);
-//   store-roundtrip    serde encode -> decode -> encode must reproduce the
-//                      exact bytes and digest; with a store attached,
-//                      put/get must round-trip the frame;
+//   store-roundtrip    serde encode -> decode -> encode of a case-seeded
+//                      ComboRun (the body of every p2 and campaign
+//                      artifact) must reproduce the exact bytes and
+//                      digest; with a store attached, put/get must
+//                      round-trip the frame;
 //   campaign-warm      a second run_combo against the same store must be a
 //                      pure cache hit: identical result rows and zero
 //                      fault-simulation work.

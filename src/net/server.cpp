@@ -142,7 +142,6 @@ NetServer::NetServer(svc::CampaignService& service, NetConfig cfg, int in_fd,
       waker_(std::make_shared<SelfPipe>()),
       done_(std::make_unique<SelfPipe>()) {
   add_connection(in_fd, out_fd, /*socket=*/false);
-  loop_ = std::thread([this] { loop(); });
 }
 
 NetServer::~NetServer() { shutdown(); }
@@ -177,6 +176,9 @@ void NetServer::write_stream_file(const svc::CampaignResponse& resp) const {
 }
 
 bool NetServer::wait(int stop_fd) {
+  // A stream server starts serving here rather than in its constructor,
+  // so a sink attached in between sees its connection open.
+  if (!loop_.joinable()) loop_ = std::thread([this] { loop(); });
   pollfd fds[2] = {{stop_fd, POLLIN, 0}, {done_->read_fd(), POLLIN, 0}};
   while (::poll(fds, 2, -1) < 0 && errno == EINTR) {
   }
@@ -191,6 +193,8 @@ void NetServer::loop() {
   // The connection to read when fds[first + k] fires; null for an entry
   // that only wakes the loop to write again.
   std::vector<Connection*> polled;
+  // Only a stream server has a connection before its loop runs.
+  for (const auto& c : connections_) emit_conn(c->id, "open", "");
   for (;;) {
     if (!stopping && stopping_.load()) {
       // Stop accepting and reading; what is pending still flushes, but a
@@ -277,6 +281,7 @@ void NetServer::accept_all() {
                    sizeof cfg_.send_buffer_bytes);
     }
     add_connection(fd, fd, /*socket=*/true);
+    emit_conn(connections_.back()->id, "open", "");
   }
 }
 
@@ -285,7 +290,6 @@ void NetServer::add_connection(int in_fd, int out_fd, bool socket) {
   connections_.push_back(std::make_unique<Connection>(
       id, in_fd, out_fd, socket, cfg_.max_line_bytes));
   count("net.accepted");
-  emit_conn(id, "open", "");
 }
 
 void NetServer::count_close(const Connection& conn, const char* reason) {

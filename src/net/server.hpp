@@ -91,7 +91,8 @@ class NetServer {
   NetServer(svc::CampaignService& service, NetConfig cfg);
   /// A stream server: serves one connection that reads `in_fd` and
   /// writes `out_fd` (left blocking, never closed), with no listener.
-  /// Parse errors name their input "stdin:<line>".
+  /// Parse errors name their input "stdin:<line>". Serving starts in
+  /// wait().
   NetServer(svc::CampaignService& service, NetConfig cfg, int in_fd,
             int out_fd);
   ~NetServer();
@@ -102,7 +103,8 @@ class NetServer {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// Attaches a sink for net_conn / net_rr events. Call before clients
-  /// connect; the sink must outlive the server.
+  /// connect (a stream server: before wait()); the sink must outlive the
+  /// server.
   void set_sink(obs::TraceSink* sink) { sink_.store(sink); }
 
   /// Blocks until `stop_fd` turns readable (returns true) or the loop

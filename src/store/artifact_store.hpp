@@ -56,7 +56,7 @@ namespace rls::store {
 /// Logical address of one artifact. Field order is part of the identity:
 /// the digest folds kind, circuit and params in sequence.
 struct ArtifactKey {
-  std::string kind;            ///< "ts0", "p2", "campaign", ...
+  std::string kind;            ///< "p2", "campaign", ...
   std::uint64_t circuit = 0;   ///< digest_circuit() of the subject netlist
   std::vector<std::pair<std::string, std::uint64_t>> params;
 

@@ -107,40 +107,6 @@ std::optional<std::vector<std::uint8_t>> CampaignStore::get_tolerant(
   }
 }
 
-ArtifactKey CampaignStore::ts0_key(const core::Ts0Config& cfg,
-                                   fault::Engine engine) const {
-  ArtifactKey key{"ts0", circuit_digest_, {}};
-  key.with("la", cfg.l_a)
-      .with("lb", cfg.l_b)
-      .with("n", cfg.n)
-      .with("seed", cfg.seed)
-      .with("engine",
-            static_cast<std::uint64_t>(fault::artifact_engine(engine)));
-  return key;
-}
-
-std::optional<scan::TestSet> CampaignStore::load_ts0(
-    const ArtifactKey& key, core::RunContext* ctx) const {
-  std::optional<std::vector<std::uint8_t>> body = get_tolerant(key, ctx);
-  if (!body) return std::nullopt;
-  ByteReader r(*body, store_->dir() + "/" + key.filename());
-  scan::TestSet ts = read_test_set(r);
-  r.expect_end();
-  if (ctx != nullptr) ctx->counters().add("store.ts0_disk_hits", 1);
-  return ts;
-}
-
-void CampaignStore::save_ts0(const ArtifactKey& key, const scan::TestSet& ts,
-                             core::RunContext* ctx) const {
-  ByteWriter w;
-  write_test_set(w, ts);
-  const std::uint64_t written = store_->put(key, w.buffer());
-  if (ctx != nullptr) {
-    ctx->counters().add("store.bytes_written", written);
-    ctx->counters().add("store.ts0_disk_writes", 1);
-  }
-}
-
 ArtifactKey CampaignStore::p2_key(const core::Combo& combo,
                                   const core::Procedure2Options& opt,
                                   std::uint64_t ts0_seed) const {

@@ -1,16 +1,19 @@
 // Checkpoint / resume layer: binds one campaign to the artifact store.
 //
 // A CampaignStore is scoped to (store directory, circuit content digest,
-// target-fault digest) and hands out keys + typed load/save for the three
+// target-fault digest) and hands out keys + typed load/save for the two
 // artifact kinds a campaign produces:
 //
-//   "ts0"       — a generated TS_0 test set (disk-backed Ts0Cache tier;
-//                 hits survive process restarts);
 //   "p2"        — one combo's Procedure 2 state: a P2Snapshot, either
 //                 terminal (the finished result — a pure cache entry) or
 //                 partial (position + fault flags — crash resume state);
 //   "campaign"  — the first-complete sweep state: committed ComboRun
 //                 prefix, next attempt index, winner.
+//
+// TS_0 itself is never stored: it is a pure function of its seed, and
+// regenerating it is cheaper than reading it back. Neither kind's key
+// names the fault-simulation engine — every engine is exact, so a
+// campaign stored by one engine is a cache hit for the others.
 //
 // Semantics: terminal artifacts are reused whenever the store is attached
 // (warm-cache runs skip TS_0 fault simulation entirely); *partial*
@@ -33,11 +36,8 @@
 #include "core/param_select.hpp"
 #include "core/procedure2.hpp"
 #include "core/run_context.hpp"
-#include "core/ts0.hpp"
 #include "fault/fault.hpp"
-#include "fault/seq_fsim.hpp"
 #include "netlist/netlist.hpp"
-#include "scan/test.hpp"
 #include "store/artifact_store.hpp"
 
 namespace rls::store {
@@ -81,14 +81,6 @@ class CampaignStore {
   [[nodiscard]] std::uint64_t targets_digest() const noexcept {
     return targets_digest_;
   }
-
-  // ---- TS_0 test sets ----
-  [[nodiscard]] ArtifactKey ts0_key(const core::Ts0Config& cfg,
-                                    fault::Engine engine) const;
-  [[nodiscard]] std::optional<scan::TestSet> load_ts0(
-      const ArtifactKey& key, core::RunContext* ctx) const;
-  void save_ts0(const ArtifactKey& key, const scan::TestSet& ts,
-                core::RunContext* ctx) const;
 
   // ---- Procedure 2 snapshots ----
   [[nodiscard]] ArtifactKey p2_key(const core::Combo& combo,

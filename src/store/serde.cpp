@@ -156,76 +156,10 @@ std::vector<std::uint8_t> unframe(std::span<const std::uint8_t> framed,
 
 // ---- typed encoders ------------------------------------------------------
 
-void write_scan_test(ByteWriter& w, const scan::ScanTest& t) {
-  w.bits(t.scan_in);
-  w.u64(t.vectors.size());
-  for (const scan::BitVector& v : t.vectors) w.bits(v);
-  w.u64(t.shift.size());
-  for (std::uint32_t s : t.shift) w.u32(s);
-  w.u64(t.scan_bits.size());
-  for (const scan::BitVector& b : t.scan_bits) w.bits(b);
-}
-
-scan::ScanTest read_scan_test(ByteReader& r) {
-  scan::ScanTest t;
-  t.scan_in = r.bits();
-  const std::uint64_t nv = r.count(1);
-  t.vectors.reserve(nv);
-  for (std::uint64_t i = 0; i < nv; ++i) t.vectors.push_back(r.bits());
-  const std::uint64_t ns = r.count(4);
-  t.shift.reserve(ns);
-  for (std::uint64_t i = 0; i < ns; ++i) t.shift.push_back(r.u32());
-  const std::uint64_t nb = r.count(1);
-  t.scan_bits.reserve(nb);
-  for (std::uint64_t i = 0; i < nb; ++i) t.scan_bits.push_back(r.bits());
-  return t;
-}
-
-void write_test_set(ByteWriter& w, const scan::TestSet& ts) {
-  w.u64(ts.tests.size());
-  for (const scan::ScanTest& t : ts.tests) write_scan_test(w, t);
-}
-
-scan::TestSet read_test_set(ByteReader& r) {
-  scan::TestSet ts;
-  const std::uint64_t n = r.count(1);
-  ts.tests.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) ts.tests.push_back(read_scan_test(r));
-  return ts;
-}
-
 void write_fault(ByteWriter& w, const fault::Fault& f) {
   w.u32(f.gate);
   w.u32(static_cast<std::uint32_t>(static_cast<std::int32_t>(f.pin)));
   w.u8(f.stuck);
-}
-
-fault::Fault read_fault(ByteReader& r) {
-  fault::Fault f;
-  f.gate = r.u32();
-  f.pin = static_cast<std::int16_t>(static_cast<std::int32_t>(r.u32()));
-  f.stuck = r.u8();
-  return f;
-}
-
-void write_fault_list(ByteWriter& w, std::span<const fault::Fault> faults,
-                      const std::vector<std::uint8_t>& flags) {
-  w.u64(faults.size());
-  for (const fault::Fault& f : faults) write_fault(w, f);
-  w.bits(flags);
-}
-
-void read_fault_list(ByteReader& r, std::vector<fault::Fault>& faults,
-                     std::vector<std::uint8_t>& flags) {
-  const std::uint64_t n = r.count(9);
-  faults.clear();
-  faults.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) faults.push_back(read_fault(r));
-  flags = r.bits();
-  if (flags.size() != faults.size()) {
-    throw StoreError(r.origin() +
-                     ": fault-list flag count does not match fault count");
-  }
 }
 
 void write_combo(ByteWriter& w, const core::Combo& c) {
@@ -324,10 +258,6 @@ std::uint64_t digest_p2_options(const core::Procedure2Options& opt) {
   w.u32(opt.max_iterations);
   w.u64(opt.base_seed);
   w.u8(opt.reseed_per_test ? 1 : 0);
-  // Digest the artifact identity of the engine, not the raw enum:
-  // kPacked is bit-identical to kConeDiff, so their artifacts are
-  // interchangeable and share one digest (see DESIGN.md §10).
-  w.u8(static_cast<std::uint8_t>(fault::artifact_engine(opt.engine)));
   // Prune identity: a sound mask cannot change detection results, but a
   // run must never resume from an artifact produced under a *different*
   // mask (an unsound or stale one would smuggle its omissions into the

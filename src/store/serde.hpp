@@ -1,7 +1,7 @@
 // Versioned, deterministic binary serialization for campaign artifacts.
 //
-// Every artifact the store persists — TS_0 test sets, fault lists with
-// detection status, Procedure 2 results, checkpoint snapshots — is encoded
+// Every artifact the store persists — Procedure 2 results and the
+// checkpoint snapshots built from them — is encoded
 // with explicit little-endian primitives through ByteWriter/ByteReader, so
 // the byte stream is identical across platforms and compiler versions
 // (the same repeatability contract the paper demands of its hardware RNG,
@@ -33,7 +33,6 @@
 #include "core/procedure2.hpp"
 #include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
-#include "scan/test.hpp"
 
 namespace rls::store {
 
@@ -133,21 +132,7 @@ std::vector<std::uint8_t> unframe(std::span<const std::uint8_t> framed,
 
 // ---- typed encoders ------------------------------------------------------
 
-void write_scan_test(ByteWriter& w, const scan::ScanTest& t);
-scan::ScanTest read_scan_test(ByteReader& r);
-
-void write_test_set(ByteWriter& w, const scan::TestSet& ts);
-scan::TestSet read_test_set(ByteReader& r);
-
 void write_fault(ByteWriter& w, const fault::Fault& f);
-fault::Fault read_fault(ByteReader& r);
-
-/// Fault list with detection status: the faults plus one packed bit each.
-/// `flags` must be index-aligned with `faults`.
-void write_fault_list(ByteWriter& w, std::span<const fault::Fault> faults,
-                      const std::vector<std::uint8_t>& flags);
-void read_fault_list(ByteReader& r, std::vector<fault::Fault>& faults,
-                     std::vector<std::uint8_t>& flags);
 
 void write_combo(ByteWriter& w, const core::Combo& c);
 core::Combo read_combo(ByteReader& r);
@@ -173,8 +158,8 @@ std::uint64_t digest_faults(std::span<const fault::Fault> faults);
 
 /// Digest of every Procedure2Options field that can influence results:
 /// d1_order, n_same_fc, max_iterations, base_seed, reseed_per_test and the
-/// engine. sim_threads is deliberately excluded — any thread count selects
-/// identical (I, D_1) pairs (the PR-1/PR-3 equivalence contract).
+/// prune mask. sim_threads and the engine are deliberately excluded — any
+/// thread count and any exact engine select identical (I, D_1) pairs.
 std::uint64_t digest_p2_options(const core::Procedure2Options& opt);
 
 }  // namespace rls::store

@@ -106,7 +106,9 @@ ParsedLine parse_line(std::string_view text, const std::string& origin);
 /// the canonical form with the schedule-only fields (id, threads,
 /// combo_jobs, priority, deadline_ms) neutralized — those change how
 /// fast (or whether) a campaign runs, never its results or stream bytes,
-/// so requests differing only there share one execution.
+/// so requests differing only there share one execution. The engine is
+/// kept, although no store artifact key names it: a stream's fsim.*
+/// counters differ by engine.
 [[nodiscard]] std::uint64_t coalesce_key(const CampaignRequest& req);
 
 /// Machine-readable error discriminators for CampaignResponse::error_code.

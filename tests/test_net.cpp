@@ -1092,6 +1092,39 @@ TEST(NetStdin, SigtermDrainsQueuedRequestsAndExitsZero) {
   EXPECT_EQ(proc.exit_code(), 0);
 }
 
+TEST(NetStdin, TraceFileRecordsTheStdinConnection) {
+  const ScratchDir dir("stdin-trace");
+  const std::string trace = dir.path() + "/net.jsonl";
+  StdinServe proc({"--workers=1", "--trace=" + trace});
+  svc::CampaignRequest req = s27_request();
+  req.id = "traced";
+  proc.send(req.canonical_json() + "\n");
+  proc.close_stdin();
+  EXPECT_TRUE(has(proc.read_line(), "\"id\":\"traced\",\"ok\":true"));
+  EXPECT_FALSE(proc.read_line().has_value());
+  ASSERT_EQ(proc.exit_code(), 0);
+
+  std::ifstream in(trace);
+  ASSERT_TRUE(in.good()) << "no trace file at " << trace;
+  std::vector<std::optional<std::string>> lines;
+  for (std::string line; std::getline(in, line);) lines.emplace_back(line);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_TRUE(has(lines[0], "\"ev\":\"net_conn\"")) << *lines[0];
+  EXPECT_TRUE(has(lines[0], "\"action\":\"open\"")) << *lines[0];
+  EXPECT_TRUE(has(lines[1], "\"ev\":\"net_rr\"")) << *lines[1];
+  EXPECT_TRUE(has(lines[1], "\"id\":\"traced\",\"ok\":true")) << *lines[1];
+  EXPECT_TRUE(has(lines[2], "\"ev\":\"net_conn\"")) << *lines[2];
+  EXPECT_TRUE(has(lines[2], "\"action\":\"close\",\"reason\":\"eof\""))
+      << *lines[2];
+}
+
+TEST(NetStdin, TraceToStdoutNeedsListen) {
+  // stdout carries the envelopes: events there would interleave with them.
+  StdinServe proc({"--workers=1", "--trace=-"});
+  EXPECT_FALSE(proc.read_line().has_value());
+  EXPECT_EQ(proc.exit_code(), 64);
+}
+
 #endif  // RLS_CLI_PATH
 
 }  // namespace

@@ -6,8 +6,11 @@
 
 #include "core/campaign.hpp"
 #include "core/param_select.hpp"
-#include "gen/registry.hpp"
+#include "core/procedure2.hpp"
+#include "core/ts0.hpp"
+#include "fault/fault.hpp"
 #include "scan/cost.hpp"
+#include "store/serde.hpp"
 
 namespace rls::core {
 namespace {
@@ -72,55 +75,6 @@ TEST(ParamSelect, RunSingleComboFillsNcyc0) {
   EXPECT_EQ(row.combo.ncyc0, scan::n_cyc0(3, 8, 32, 16));
 }
 
-TEST(ParamSelect, Ts0CacheMemoizesPerKey) {
-  const Workbench wb("s27");
-  Ts0Cache cache;
-  Ts0Config cfg;
-  cfg.l_a = 8;
-  cfg.l_b = 16;
-  cfg.n = 4;
-  cfg.seed = wb.ts0_seed();
-  const auto a = cache.get(wb.nl(), cfg, fault::Engine::kConeDiff);
-  const auto b = cache.get(wb.nl(), cfg, fault::Engine::kConeDiff);
-  EXPECT_EQ(a.get(), b.get());  // same shared set, not a regeneration
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  cfg.seed ^= 1;
-  const auto c = cache.get(wb.nl(), cfg, fault::Engine::kConeDiff);
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-  // The engine is part of the artifact identity even though the set bytes
-  // are engine-independent: a fullsweep entry is a distinct slot.
-  const auto d = cache.get(wb.nl(), cfg, fault::Engine::kFullSweep);
-  EXPECT_NE(c.get(), d.get());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(ParamSelect, Ts0CacheKeysCircuitContentNotAddress) {
-  // One cache spanning two circuits that occupy the same storage in turn:
-  // s298 must get its own TS_0, not s27's set served as a hit.
-  Ts0Cache cache;
-  Ts0Config cfg;
-  cfg.n = 4;
-  std::optional<netlist::Netlist> nl;
-  nl.emplace(gen::make_circuit("s27"));
-  const netlist::Netlist* const storage = &*nl;
-  const auto s27 = cache.get(*nl, cfg, fault::Engine::kConeDiff);
-  EXPECT_EQ(s27->tests.front().scan_in.size(), 3u);
-  EXPECT_EQ(s27->tests.front().vectors.front().size(), 4u);
-
-  nl.reset();
-  nl.emplace(gen::make_circuit("s298"));
-  ASSERT_EQ(&*nl, storage);
-  const auto s298 = cache.get(*nl, cfg, fault::Engine::kConeDiff);
-  EXPECT_EQ(s298->tests.front().scan_in.size(), 14u);
-  EXPECT_EQ(s298->tests.front().vectors.front().size(), 3u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
 TEST(ParamSelect, RunComboValidatesNcyc0AgainstGeneratedSet) {
   const Workbench wb("s27");
   Procedure2Options opt;
@@ -128,10 +82,32 @@ TEST(ParamSelect, RunComboValidatesNcyc0AgainstGeneratedSet) {
   bad.ncyc0 = scan::n_cyc0(3, 8, 16, 16) + 1;  // deliberately mis-ranked
   EXPECT_THROW(run_combo(wb.cc(), wb.target_faults(), bad, opt, wb.ts0_seed()),
                std::logic_error);
-  Ts0Cache cache;
-  EXPECT_THROW(run_combo(wb.cc(), wb.target_faults(), bad, opt, wb.ts0_seed(),
-                         nullptr, &cache),
-               std::logic_error);
+}
+
+TEST(ParamSelect, RunComboAppliesTheRegeneratedTs0) {
+  // run_combo regenerates TS_0 from the combo and the seed on every call:
+  // its result is Procedure 2 over exactly make_ts0 of that config.
+  const Workbench wb("s298");
+  const Combo c{8, 16, 16, 0};
+  Procedure2Options opt;
+  opt.max_iterations = 2;
+  const ComboRun run =
+      run_combo(wb.cc(), wb.target_faults(), c, opt, wb.ts0_seed());
+
+  Ts0Config cfg;
+  cfg.l_a = c.l_a;
+  cfg.l_b = c.l_b;
+  cfg.n = c.n;
+  cfg.seed = wb.ts0_seed();
+  fault::FaultList fl(wb.target_faults());
+  const Procedure2Result direct =
+      run_procedure2(wb.cc(), make_ts0(wb.nl(), cfg), fl, opt);
+
+  store::ByteWriter a, b;
+  store::write_procedure2_result(a, run.result);
+  store::write_procedure2_result(b, direct);
+  EXPECT_EQ(a.buffer(), b.buffer());
+  EXPECT_GT(run.result.ts0_detected, 0u);
 }
 
 namespace {

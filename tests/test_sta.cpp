@@ -1,10 +1,14 @@
 // rls::analysis::sta tests: golden JSONL streams, byte-determinism across
 // threads, planted dead-logic / blocked-fanout netlists with exact lint
-// diagnostics, prune transparency (identical FC rows, fewer gate evals),
+// diagnostics, the ternary pass's gate tables and its agreement with the
+// boolean simulator when every source is constant, prune transparency
+// (identical FC rows, fewer gate evals),
 // FaultList::prune unit semantics, the presolve hand-off into
 // atpg::classify, and the SCOAP test-point ranking.
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,10 +25,14 @@
 #include "core/ts0.hpp"
 #include "fault/collapse.hpp"
 #include "fault/fault.hpp"
+#include "gen/profiles.hpp"
 #include "gen/registry.hpp"
+#include "gen/synth.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/trace.hpp"
+#include "rand/rng.hpp"
 #include "sim/compiled.hpp"
+#include "sim/seq_sim.hpp"
 
 namespace rls {
 namespace {
@@ -226,6 +234,231 @@ TEST(StaSelfCheck, RegistryCircuitsAreConsistent) {
         << name << ": " << why;
   }
 }
+
+// ---- ternary pass: gate tables and agreement with the boolean sim ---------
+
+constexpr std::int8_t X = analysis::kX;
+
+// Pass-1 value of one `type` gate whose fanins are tied to `ins`: 0 and 1
+// are constant gates, X is a free primary input.
+std::int8_t ternary(GateType type, std::initializer_list<std::int8_t> ins) {
+  Netlist nl("ternary");
+  std::vector<SignalId> fanin;
+  for (const std::int8_t v : ins) {
+    const std::string name = "i" + std::to_string(fanin.size());
+    fanin.push_back(v == X ? nl.add_input(name)
+                           : nl.add_gate(v == 0 ? GateType::kConst0
+                                                : GateType::kConst1,
+                                         name, {}));
+  }
+  const SignalId z = nl.add_gate(type, "z", fanin);
+  nl.mark_output(z);
+  nl.finalize();
+  const sim::CompiledCircuit cc(nl);
+  return analysis::analyze(cc).value[z];
+}
+
+// A copy of `nl` (same ids and names) whose primary inputs are constant
+// gates holding `in` and whose flip-flops, when `state` is not empty, are
+// constant gates holding `state`. Empty `state` leaves the scan cells free.
+Netlist tie_sources(const Netlist& nl, const std::vector<std::uint8_t>& in,
+                    const std::vector<std::uint8_t>& state) {
+  std::vector<std::int8_t> tied(nl.num_gates(), X);
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    tied[nl.primary_inputs()[k]] = static_cast<std::int8_t>(in[k]);
+  }
+  for (std::size_t k = 0; k < state.size(); ++k) {
+    tied[nl.flip_flops()[k]] = static_cast<std::int8_t>(state[k]);
+  }
+  Netlist out(nl.name() + "_tied");
+  for (SignalId id = 0; id < nl.num_gates(); ++id) {
+    const GateType type = nl.gate(id).type;
+    const std::string& name = nl.signal_name(id);
+    if (tied[id] != X) {
+      out.add_gate(tied[id] == 0 ? GateType::kConst0 : GateType::kConst1,
+                   name, {});
+    } else if (type == GateType::kInput) {
+      out.add_input(name);
+    } else if (type == GateType::kDff) {
+      out.add_dff(name);
+    } else {
+      out.add_gate(type, name, {});
+    }
+  }
+  for (SignalId id = 0; id < nl.num_gates(); ++id) {
+    if (tied[id] == X) out.connect(id, nl.gate(id).fanin);
+  }
+  for (SignalId po : nl.primary_outputs()) out.mark_output(po);
+  out.finalize();
+  return out;
+}
+
+// With every source constant, the ternary pass must compute each net
+// exactly as the two-valued simulator does from the same inputs and state.
+void expect_agrees_with_boolean_sim(const Netlist& nl,
+                                    const std::vector<std::uint8_t>& in,
+                                    const std::vector<std::uint8_t>& state) {
+  const sim::CompiledCircuit cc(nl);
+  sim::SeqSim bin(cc);
+  bin.load_state_broadcast(state);
+  bin.set_inputs_broadcast(in);
+  bin.eval();
+  const Netlist tied = tie_sources(nl, in, state);
+  const sim::CompiledCircuit tied_cc(tied);
+  const StaReport r = analysis::analyze(tied_cc);
+  EXPECT_EQ(r.num_const_nets, nl.num_gates());
+  for (SignalId id = 0; id < nl.num_gates(); ++id) {
+    EXPECT_EQ(r.value[id], sim::lane_bit(bin.values()[id], 0) ? 1 : 0)
+        << nl.name() << " " << nl.signal_name(id);
+  }
+}
+
+TEST(StaTernary, NotTable) {
+  EXPECT_EQ(ternary(GateType::kNot, {0}), 1);
+  EXPECT_EQ(ternary(GateType::kNot, {1}), 0);
+  EXPECT_EQ(ternary(GateType::kNot, {X}), X);
+}
+
+TEST(StaTernary, BufTable) {
+  EXPECT_EQ(ternary(GateType::kBuf, {0}), 0);
+  EXPECT_EQ(ternary(GateType::kBuf, {1}), 1);
+  EXPECT_EQ(ternary(GateType::kBuf, {X}), X);
+}
+
+TEST(StaTernary, AndTable) {
+  EXPECT_EQ(ternary(GateType::kAnd, {0, 0}), 0);
+  EXPECT_EQ(ternary(GateType::kAnd, {0, 1}), 0);
+  EXPECT_EQ(ternary(GateType::kAnd, {1, 1}), 1);
+  EXPECT_EQ(ternary(GateType::kAnd, {0, X}), 0);  // controlled by 0
+  EXPECT_EQ(ternary(GateType::kAnd, {X, 0}), 0);
+  EXPECT_EQ(ternary(GateType::kAnd, {1, X}), X);
+  EXPECT_EQ(ternary(GateType::kAnd, {X, X}), X);
+  EXPECT_EQ(ternary(GateType::kAnd, {1, 1, X}), X);
+}
+
+TEST(StaTernary, OrTable) {
+  EXPECT_EQ(ternary(GateType::kOr, {0, 0}), 0);
+  EXPECT_EQ(ternary(GateType::kOr, {1, 0}), 1);
+  EXPECT_EQ(ternary(GateType::kOr, {1, X}), 1);  // controlled by 1
+  EXPECT_EQ(ternary(GateType::kOr, {X, 1}), 1);
+  EXPECT_EQ(ternary(GateType::kOr, {0, X}), X);
+  EXPECT_EQ(ternary(GateType::kOr, {X, X}), X);
+  EXPECT_EQ(ternary(GateType::kOr, {0, 0, X}), X);
+}
+
+TEST(StaTernary, XorTable) {
+  EXPECT_EQ(ternary(GateType::kXor, {0, 0}), 0);
+  EXPECT_EQ(ternary(GateType::kXor, {0, 1}), 1);
+  EXPECT_EQ(ternary(GateType::kXor, {1, 1}), 0);
+  EXPECT_EQ(ternary(GateType::kXor, {1, 1, 1}), 1);
+  EXPECT_EQ(ternary(GateType::kXor, {1, X}), X);  // X propagates through XOR
+  EXPECT_EQ(ternary(GateType::kXor, {0, X}), X);
+  EXPECT_EQ(ternary(GateType::kXor, {X, X}), X);
+}
+
+// An inverting gate inverts a resolved value but never an X.
+TEST(StaTernary, InvertingGatesKeepXUninverted) {
+  EXPECT_EQ(ternary(GateType::kNand, {0, X}), 1);
+  EXPECT_EQ(ternary(GateType::kNand, {1, 1}), 0);
+  EXPECT_EQ(ternary(GateType::kNand, {1, X}), X);
+  EXPECT_EQ(ternary(GateType::kNor, {1, X}), 0);
+  EXPECT_EQ(ternary(GateType::kNor, {0, 0}), 1);
+  EXPECT_EQ(ternary(GateType::kNor, {0, X}), X);
+  EXPECT_EQ(ternary(GateType::kXnor, {1, 1}), 1);
+  EXPECT_EQ(ternary(GateType::kXnor, {0, 1}), 0);
+  EXPECT_EQ(ternary(GateType::kXnor, {1, X}), X);
+}
+
+TEST(StaTernary, ConstantSourcesMatchBooleanSimOnS27) {
+  // Exhaustive over s27's 4 inputs and 3 state bits.
+  const Netlist nl = gen::make_circuit("s27");
+  for (unsigned bits = 0; bits < (1u << 7); ++bits) {
+    std::vector<std::uint8_t> in(4), state(3);
+    for (std::size_t k = 0; k < 4; ++k) in[k] = (bits >> k) & 1u;
+    for (std::size_t k = 0; k < 3; ++k) state[k] = (bits >> (4 + k)) & 1u;
+    expect_agrees_with_boolean_sim(nl, in, state);
+  }
+}
+
+TEST(StaTernary, FreeSourcesLeaveEveryNetUnknown) {
+  // s27 has no constant gate, so with every input and scan cell free no
+  // net can be resolved; in particular the output G17 stays X.
+  const Netlist nl = gen::make_circuit("s27");
+  const sim::CompiledCircuit cc(nl);
+  const StaReport r = analysis::analyze(cc);
+  EXPECT_EQ(r.num_const_nets, 0u);
+  for (SignalId id = 0; id < nl.num_gates(); ++id) {
+    EXPECT_EQ(r.value[id], X) << nl.signal_name(id);
+  }
+  EXPECT_EQ(r.value[nl.by_name("G17")], X);
+}
+
+TEST(StaTernary, FreeScanCellsKeepStateDependentNetsUnknown) {
+  // s27: G12 = NOR(G1, G7) and G13 = NOR(G2, G12), with G7 a scan cell.
+  // All inputs 0: G12 = NOR(0, X) = X and the next-state net G13 stays X.
+  const Netlist nl = gen::make_circuit("s27");
+  {
+    const Netlist tied = tie_sources(nl, {0, 0, 0, 0}, {});
+    const sim::CompiledCircuit cc(tied);
+    const StaReport r = analysis::analyze(cc);
+    EXPECT_EQ(r.value[nl.by_name("G7")], X);
+    EXPECT_EQ(r.value[nl.by_name("G12")], X);
+    EXPECT_EQ(r.value[nl.by_name("G13")], X);
+    EXPECT_EQ(r.value[nl.by_name("G14")], 1);  // NOT(G0) needs no state
+  }
+  // G1 = 1 controls G12 to 0 whatever the state, so G13 = NOT(G2) = 1.
+  {
+    const Netlist tied = tie_sources(nl, {0, 1, 0, 0}, {});
+    const sim::CompiledCircuit cc(tied);
+    const StaReport r = analysis::analyze(cc);
+    EXPECT_EQ(r.value[nl.by_name("G7")], X);
+    EXPECT_EQ(r.value[nl.by_name("G12")], 0);
+    EXPECT_EQ(r.value[nl.by_name("G13")], 1);
+  }
+}
+
+TEST(StaTernary, ScanCellOutputStaysUnknownUnderConstantD) {
+  // A scan load can force either value into a flip-flop, so a constant on
+  // its D pin does not make its output constant.
+  Netlist nl("dconst");
+  const SignalId k = nl.add_gate(GateType::kConst1, "k", {});
+  const SignalId q = nl.add_dff("q", k);
+  const SignalId z = nl.add_gate(GateType::kNot, "z", {q});
+  nl.mark_output(z);
+  nl.finalize();
+  const sim::CompiledCircuit cc(nl);
+  const StaReport r = analysis::analyze(cc);
+  EXPECT_EQ(r.value[k], 1);
+  EXPECT_EQ(r.value[q], X);
+  EXPECT_EQ(r.value[z], X);
+}
+
+class StaTernaryAgreement : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StaTernaryAgreement, ConstantSourcesMatchBooleanSim) {
+  gen::Profile p;
+  p.name = "tern" + std::to_string(GetParam());
+  p.num_inputs = 5;
+  p.num_outputs = 3;
+  p.num_flip_flops = 4;
+  p.num_gates = 40;
+  p.counter_fraction = 0.25;
+  p.tied_inputs = GetParam() % 3;  // strapped pins add constant gates
+  p.seed = GetParam() * 77 + 13;
+  const Netlist nl = gen::synthesize(p);
+
+  rand::Rng rng(GetParam() + 5);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<std::uint8_t> in(nl.num_inputs());
+    std::vector<std::uint8_t> state(nl.num_state_vars());
+    for (auto& b : in) b = rng.next_bit();
+    for (auto& b : state) b = rng.next_bit();
+    expect_agrees_with_boolean_sim(nl, in, state);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StaTernaryAgreement,
+                         ::testing::Range<std::uint64_t>(0, 6));
 
 // ---- FaultList::prune unit semantics --------------------------------------
 

@@ -6,16 +6,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/run_context.hpp"
-#include "core/ts0.hpp"
 #include "fault/collapse.hpp"
 #include "gen/registry.hpp"
 #include "store/artifact_store.hpp"
@@ -142,51 +143,6 @@ TEST(StoreSerde, CorruptCountCannotTriggerHugeAllocation) {
   EXPECT_THROW((void)r.count(9), StoreError);
 }
 
-TEST(StoreSerde, TestSetRoundTripsByteIdentically) {
-  const netlist::Netlist nl = gen::make_circuit("s27");
-  core::Ts0Config cfg;
-  cfg.l_a = 3;
-  cfg.l_b = 5;
-  cfg.n = 4;
-  scan::TestSet ts = core::make_ts0(nl, cfg);
-  // Give one test a limited-scan schedule so those fields roundtrip too.
-  ts.tests[0].shift = {0, 2, 0};
-  ts.tests[0].scan_bits = {{}, {1, 0}, {}};
-
-  ByteWriter w;
-  write_test_set(w, ts);
-  ByteReader r(w.buffer(), "test");
-  const scan::TestSet back = read_test_set(r);
-  r.expect_end();
-  ASSERT_EQ(back.tests.size(), ts.tests.size());
-  for (std::size_t i = 0; i < ts.tests.size(); ++i) {
-    EXPECT_EQ(back.tests[i].scan_in, ts.tests[i].scan_in);
-    EXPECT_EQ(back.tests[i].vectors, ts.tests[i].vectors);
-    EXPECT_EQ(back.tests[i].shift, ts.tests[i].shift);
-    EXPECT_EQ(back.tests[i].scan_bits, ts.tests[i].scan_bits);
-  }
-  // Determinism: re-encoding the decoded set reproduces the bytes.
-  ByteWriter w2;
-  write_test_set(w2, back);
-  EXPECT_EQ(w2.buffer(), w.buffer());
-}
-
-TEST(StoreSerde, FaultListRoundTripsWithFlags) {
-  const netlist::Netlist nl = gen::make_circuit("s27");
-  const std::vector<fault::Fault> faults = fault::collapsed_universe(nl);
-  std::vector<std::uint8_t> flags(faults.size());
-  for (std::size_t i = 0; i < flags.size(); ++i) flags[i] = (i % 2);
-  ByteWriter w;
-  write_fault_list(w, faults, flags);
-  ByteReader r(w.buffer(), "test");
-  std::vector<fault::Fault> back_faults;
-  std::vector<std::uint8_t> back_flags;
-  read_fault_list(r, back_faults, back_flags);
-  r.expect_end();
-  EXPECT_EQ(back_faults, faults);
-  EXPECT_EQ(back_flags, flags);
-}
-
 TEST(StoreSerde, Procedure2ResultAndComboRunRoundTrip) {
   core::ComboRun run;
   run.combo = {8, 16, 64, 1234};
@@ -218,13 +174,37 @@ TEST(StoreSerde, CircuitDigestTracksContent) {
   EXPECT_NE(digest_circuit(a), digest_circuit(c));
 }
 
-TEST(StoreSerde, P2OptionsDigestIgnoresThreadsButNotEngine) {
+TEST(StoreSerde, FaultDigestTracksOrderAndEveryField) {
+  // digest_faults keys every stored artifact to its target list: equal
+  // lists digest equally, and any change of line, pin, stuck value or
+  // order changes the digest.
+  const netlist::Netlist nl = gen::make_circuit("s27");
+  const std::vector<fault::Fault> faults = fault::collapsed_universe(nl);
+  ASSERT_GE(faults.size(), 2u);
+  const std::uint64_t base = digest_faults(faults);
+  EXPECT_EQ(digest_faults(fault::collapsed_universe(nl)), base);
+
+  std::vector<fault::Fault> gate = faults;
+  gate[0].gate ^= 1;
+  std::vector<fault::Fault> pin = faults;
+  pin[0].pin = static_cast<std::int16_t>(pin[0].pin + 1);
+  std::vector<fault::Fault> stuck = faults;
+  stuck[0].stuck ^= 1;
+  std::vector<fault::Fault> order = faults;
+  std::swap(order[0], order[1]);
+  std::vector<fault::Fault> shorter(faults.begin(), faults.end() - 1);
+  for (const auto* v : {&gate, &pin, &stuck, &order, &shorter}) {
+    EXPECT_NE(digest_faults(*v), base);
+  }
+}
+
+TEST(StoreSerde, P2OptionsDigestIgnoresThreadsAndEngine) {
   core::Procedure2Options a;
   core::Procedure2Options b = a;
   b.sim_threads = 8;  // never changes results -> same identity
   EXPECT_EQ(digest_p2_options(a), digest_p2_options(b));
-  b.engine = fault::Engine::kFullSweep;
-  EXPECT_NE(digest_p2_options(a), digest_p2_options(b));
+  b.engine = fault::Engine::kFullSweep;  // every engine is exact
+  EXPECT_EQ(digest_p2_options(a), digest_p2_options(b));
   core::Procedure2Options c = a;
   c.d1_order = {10, 9, 8};
   EXPECT_NE(digest_p2_options(a), digest_p2_options(c));
@@ -233,40 +213,27 @@ TEST(StoreSerde, P2OptionsDigestIgnoresThreadsButNotEngine) {
   EXPECT_NE(digest_p2_options(a), digest_p2_options(d));
 }
 
-TEST(StoreSerde, PackedEngineSharesConeDiffArtifactIdentity) {
-  // DESIGN.md §10: digests key the engine's *artifact* identity. kPacked
-  // is bit-identical to kConeDiff, so the two share cache entries; only
-  // kFullSweep keeps a distinct (historical) identity.
-  EXPECT_EQ(fault::artifact_engine(fault::Engine::kPacked),
-            fault::Engine::kConeDiff);
-  EXPECT_EQ(fault::artifact_engine(fault::Engine::kConeDiff),
-            fault::Engine::kConeDiff);
-  EXPECT_EQ(fault::artifact_engine(fault::Engine::kFullSweep),
-            fault::Engine::kFullSweep);
-
-  core::Procedure2Options cone;
-  core::Procedure2Options packed;
-  packed.engine = fault::Engine::kPacked;
-  core::Procedure2Options sweep;
-  sweep.engine = fault::Engine::kFullSweep;
-  EXPECT_EQ(digest_p2_options(cone), digest_p2_options(packed));
-  EXPECT_NE(digest_p2_options(cone), digest_p2_options(sweep));
-
-  // ts0_key applies the same policy: kPacked resolves to kConeDiff's key.
+TEST(StoreSerde, EveryEngineSharesOneArtifactIdentity) {
+  // DESIGN.md §10: every engine is exact, so no artifact key names one —
+  // a campaign stored under any engine is a cache hit for the others.
   const ScratchDir dir("enginekey");
   const netlist::Netlist nl = gen::make_circuit("s27");
   const std::vector<fault::Fault> targets = fault::collapsed_universe(nl);
   ArtifactStore astore(dir.path());
   const CampaignStore cs(astore, nl, targets, false);
-  core::Ts0Config cfg;
-  cfg.l_a = 4;
-  cfg.l_b = 8;
-  cfg.n = 4;
-  cfg.seed = 7;
-  EXPECT_EQ(cs.ts0_key(cfg, fault::Engine::kPacked).digest(),
-            cs.ts0_key(cfg, fault::Engine::kConeDiff).digest());
-  EXPECT_NE(cs.ts0_key(cfg, fault::Engine::kPacked).digest(),
-            cs.ts0_key(cfg, fault::Engine::kFullSweep).digest());
+  const core::Combo combo{8, 16, 64, 0};
+  core::Procedure2Options cone;
+  cone.engine = fault::Engine::kConeDiff;
+  for (const fault::Engine engine :
+       {fault::Engine::kFullSweep, fault::Engine::kPacked}) {
+    core::Procedure2Options other = cone;
+    other.engine = engine;
+    EXPECT_EQ(digest_p2_options(other), digest_p2_options(cone));
+    EXPECT_EQ(cs.p2_key(combo, other, 7).filename(),
+              cs.p2_key(combo, cone, 7).filename());
+    EXPECT_EQ(cs.campaign_key(other, 7).filename(),
+              cs.campaign_key(cone, 7).filename());
+  }
 }
 
 // ---- StoreArtifact -------------------------------------------------------
@@ -712,7 +679,7 @@ TEST(StoreCheckpoint, CorruptArtifactIsToleratedMidCampaign) {
   EXPECT_THROW((void)astore.get(key), StoreError);
 }
 
-TEST(StoreCheckpoint, KeysSeparateCircuitsEnginesAndOptions) {
+TEST(StoreCheckpoint, KeysSeparateCircuitsAndOptions) {
   const ScratchDir dir("keys");
   const netlist::Netlist s27 = gen::make_circuit("s27");
   const netlist::Netlist s298 = gen::make_circuit("s298");
@@ -721,12 +688,6 @@ TEST(StoreCheckpoint, KeysSeparateCircuitsEnginesAndOptions) {
   ArtifactStore astore(dir.path());
   const CampaignStore a(astore, s27, t27, false);
   const CampaignStore b(astore, s298, t298, false);
-
-  core::Ts0Config cfg;
-  EXPECT_NE(a.ts0_key(cfg, fault::Engine::kConeDiff).filename(),
-            b.ts0_key(cfg, fault::Engine::kConeDiff).filename());
-  EXPECT_NE(a.ts0_key(cfg, fault::Engine::kConeDiff).filename(),
-            a.ts0_key(cfg, fault::Engine::kFullSweep).filename());
 
   core::Procedure2Options opt;
   core::Procedure2Options desc = opt;

@@ -3,7 +3,7 @@
 // uninterrupted run byte-for-byte — same result encoding, same winner,
 // and a trace stream that is a pure suffix of the uninterrupted stream.
 // Also covers the warm-cache path (second run serves results from disk
-// with zero fault simulation) and the disk-backed TS_0 tier.
+// with zero fault simulation).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -328,41 +328,6 @@ TEST(StoreWarmCache, SecondIdenticalRunSkipsAllFaultSimulation) {
   EXPECT_EQ(warm.counters().value("fsim.gate_evals"), 0u);
 }
 
-// ---- StoreTs0Disk --------------------------------------------------------
-
-TEST(StoreTs0Disk, Ts0SurvivesAcrossCacheInstances) {
-  const core::Workbench wb("s27");
-  const ScratchDir dir("ts0");
-  store::ArtifactStore astore(dir.path());
-  const store::CampaignStore cs(astore, wb.nl(), wb.target_faults(), false);
-  core::Ts0Config cfg;
-  cfg.seed = wb.ts0_seed();
-
-  core::Ts0Cache first;
-  first.set_store(&cs);
-  core::RunContext ctx1;
-  const auto a =
-      first.get(wb.nl(), cfg, fault::Engine::kConeDiff, &ctx1);
-  EXPECT_EQ(ctx1.counters().value("store.ts0_disk_writes"), 1u);
-  EXPECT_EQ(ctx1.counters().value("store.ts0_disk_hits"), 0u);
-  EXPECT_EQ(first.hits(), 0u);
-
-  // A fresh cache (fresh process) finds the set on disk: a hit, no
-  // regeneration, identical bytes.
-  core::Ts0Cache second;
-  second.set_store(&cs);
-  core::RunContext ctx2;
-  const auto b =
-      second.get(wb.nl(), cfg, fault::Engine::kConeDiff, &ctx2);
-  EXPECT_EQ(ctx2.counters().value("store.ts0_disk_hits"), 1u);
-  EXPECT_EQ(ctx2.counters().value("store.ts0_disk_writes"), 0u);
-  EXPECT_EQ(second.hits(), 1u);
-  store::ByteWriter wa, wb2;
-  store::write_test_set(wa, *a);
-  store::write_test_set(wb2, *b);
-  EXPECT_EQ(wa.buffer(), wb2.buffer());
-}
-
 // ---- StoreConcurrency ----------------------------------------------------
 
 TEST(StoreConcurrency, SpeculativeSweepWithStoreMatchesSerial) {
@@ -381,7 +346,7 @@ TEST(StoreConcurrency, SpeculativeSweepWithStoreMatchesSerial) {
   const core::ExperimentRow serial = run_first_complete(wb, serial_ctx);
 
   // Cold speculative run against its own store: four workers race to
-  // write TS_0 / p2 artifacts concurrently (the TSan target).
+  // write p2 artifacts concurrently (the TSan target).
   core::CampaignOptions spec_opts = opts;
   spec_opts.combo_jobs = 4;
   const ScratchDir spec_dir("spec");

@@ -22,12 +22,14 @@
 
 #include "core/campaign.hpp"
 #include "core/run_context.hpp"
+#include "fault/seq_fsim.hpp"
 #include "gen/registry.hpp"
 #include "netlist/bench_io.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "store/artifact_store.hpp"
 #include "store/checkpoint.hpp"
+#include "store/serde.hpp"
 #include "svc/json.hpp"
 #include "svc/request.hpp"
 #include "svc/service.hpp"
@@ -267,6 +269,26 @@ TEST(SvcRequest, CoalesceKeyNeutralizesScheduleOnlyFields) {
   EXPECT_NE(svc::coalesce_key(timing), key);
 }
 
+TEST(SvcRequest, CoalesceKeyKeepsTheEngine) {
+  // Every engine shares one store identity (same p2 options digest), but a
+  // stream's fsim.* counters differ by engine, so requests that differ in
+  // engine never share one execution.
+  const svc::CampaignRequest base = s27_request();
+  std::vector<std::uint64_t> keys;
+  for (const fault::Engine engine :
+       {fault::Engine::kConeDiff, fault::Engine::kFullSweep,
+        fault::Engine::kPacked}) {
+    svc::CampaignRequest req = base;
+    req.options.p2.engine = engine;
+    EXPECT_EQ(store::digest_p2_options(req.options.p2),
+              store::digest_p2_options(base.options.p2));
+    keys.push_back(svc::coalesce_key(req));
+  }
+  EXPECT_NE(keys[0], keys[1]);
+  EXPECT_NE(keys[0], keys[2]);
+  EXPECT_NE(keys[1], keys[2]);
+}
+
 TEST(SvcRequest, DuplicateFieldCheckIsLinear) {
   // The first repeated key by position is the one reported.
   try {
@@ -451,6 +473,52 @@ TEST(SvcResume, KilledSessionResumesViaResumeFlag) {
     const auto resume_lines = filter_lines(resp.stream, keep);
     EXPECT_LT(resume_lines.size(), base_lines.size());
     EXPECT_TRUE(is_suffix(resume_lines, base_lines));
+  }
+}
+
+// ---- SvcStore: one artifact identity for every engine --------------------
+
+TEST(SvcStore, AnyEngineRerunIsAFullCacheHit) {
+  const ScratchDir dir("engines");
+  svc::ServiceConfig cfg;
+  cfg.store_dir = dir.path();
+  svc::CampaignService service(std::move(cfg));
+  svc::CampaignRequest req;
+  req.id = "e";
+  req.circuit = "s27";
+  req.options.p2.sim_threads = 1;
+  req.options.p2.engine = fault::Engine::kConeDiff;
+  const svc::CampaignResponse cold = service.run(req);
+  ASSERT_TRUE(cold.ok) << cold.error;
+
+  const auto counter = [](const svc::CampaignResponse& resp,
+                          const std::string& name) {
+    for (const auto& [k, v] : resp.counters) {
+      if (k == name) return v;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_GT(counter(cold, "fsim.gate_evals"), 0u);
+  for (const fault::Engine engine :
+       {fault::Engine::kFullSweep, fault::Engine::kPacked}) {
+    req.options.p2.engine = engine;
+    const svc::CampaignResponse warm = service.run(req);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    const char* name = fault::engine_name(engine);
+    EXPECT_EQ(counter(warm, "fsim.gate_evals"), 0u) << name;
+    EXPECT_EQ(counter(warm, "store.cache_hit"), 1u) << name;
+    EXPECT_EQ(warm.to_json(), cold.to_json()) << name;
+    ASSERT_EQ(warm.applied.size(), cold.applied.size()) << name;
+    for (std::size_t k = 0; k < cold.applied.size(); ++k) {
+      EXPECT_EQ(warm.applied[k].d1, cold.applied[k].d1) << name;
+      EXPECT_EQ(warm.applied[k].detected, cold.applied[k].detected) << name;
+      EXPECT_EQ(warm.applied[k].cycles, cold.applied[k].cycles) << name;
+    }
+  }
+  // TS_0 is regenerated from its seed, never stored.
+  for (const auto& ent : fs::recursive_directory_iterator(dir.path())) {
+    EXPECT_NE(ent.path().filename().string().rfind("ts0-", 0), 0u)
+        << ent.path();
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ts0.hpp"
+#include "gen/registry.hpp"
 #include "gen/s27.hpp"
 #include "scan/cost.hpp"
 
@@ -82,6 +83,27 @@ TEST(Ts0, BitsAreBalanced) {
   }
   const double p = static_cast<double>(ones) / static_cast<double>(total);
   EXPECT_NEAR(p, 0.5, 0.02);
+}
+
+TEST(Ts0, ShapeFollowsTheCircuit) {
+  // TS_0 is regenerated from the circuit and the config alone: each circuit
+  // gets scan-ins and vectors of its own width, and a separately built copy
+  // of the same circuit regenerates the identical set.
+  Ts0Config cfg;
+  cfg.n = 4;
+  const scan::TestSet s27 = make_ts0(gen::make_s27(), cfg);
+  EXPECT_EQ(s27.tests.front().scan_in.size(), 3u);
+  EXPECT_EQ(s27.tests.front().vectors.front().size(), 4u);
+
+  const scan::TestSet a = make_ts0(gen::make_circuit("s298"), cfg);
+  const scan::TestSet b = make_ts0(gen::make_circuit("s298"), cfg);
+  EXPECT_EQ(a.tests.front().scan_in.size(), 14u);
+  EXPECT_EQ(a.tests.front().vectors.front().size(), 3u);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.tests[i].scan_in, b.tests[i].scan_in);
+    EXPECT_EQ(a.tests[i].vectors, b.tests[i].vectors);
+  }
 }
 
 }  // namespace

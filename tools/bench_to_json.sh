@@ -6,7 +6,6 @@
 # timings — compare the s5378_off/_on pair to check the <2% overhead contract.
 # BM_ComboSweep/s420_w{1,2,4,8} is the speculative combo-sweep scaling curve
 # (compare w1 vs w4 real_time for the PR-3 speedup headline).
-# BM_StoreRoundTrip is one full artifact encode/put/get/decode cycle, and
 # BM_CampaignCached/s298_{cold,warm} is the same campaign against an empty
 # versus a populated artifact store — the cold/warm ratio is the PR-5
 # caching headline. BM_PackedFsim and the *_packed rows of

@@ -377,7 +377,7 @@ struct SvcFlags {
   // serve-only (ignored by batch):
   std::string listen;  ///< TCP port to listen on ("" = stdin mode)
   std::string bind = "127.0.0.1";
-  std::string trace;   ///< net_conn/net_rr JSONL sink (TCP mode)
+  std::string trace;   ///< net_conn/net_rr JSONL sink
   std::uint64_t max_line_bytes = 1 << 20;
   std::uint64_t max_write_buffer = 4u << 20;
 
@@ -401,7 +401,8 @@ struct SvcFlags {
       fp.add_string("bind", &bind,
                     "TCP listen address (default 127.0.0.1)");
       fp.add_string("trace", &trace,
-                    "write net_conn/net_rr events to FILE (TCP mode)");
+                    "write net_conn/net_rr events to FILE (\"-\" = stdout, "
+                    "with --listen only)");
       fp.add_uint("max-line-bytes", &max_line_bytes,
                   "reject request lines longer than this (default 1MiB)");
       fp.add_uint("max-write-buffer", &max_write_buffer,
@@ -536,6 +537,10 @@ void install_stop_handlers() {
 }
 
 int cmd_serve(const SvcFlags& flags) {
+  if (flags.trace == "-" && flags.listen.empty()) {
+    throw cli::FlagError(
+        "--trace=- needs --listen: without it, stdout carries the envelopes");
+  }
   svc::CampaignService service(flags.to_config());
   install_stop_handlers();
   net::NetConfig cfg;
@@ -562,12 +567,13 @@ int cmd_serve(const SvcFlags& flags) {
     }
     cfg.port = static_cast<std::uint16_t>(port);
     server = std::make_unique<net::NetServer>(service, cfg);
-    if (!flags.trace.empty()) {
-      sink = flags.trace == "-"
-                 ? std::make_unique<obs::JsonlSink>(stdout)
-                 : std::make_unique<obs::JsonlSink>(flags.trace);
-      server->set_sink(sink.get());
-    }
+  }
+  if (!flags.trace.empty()) {
+    sink = flags.trace == "-" ? std::make_unique<obs::JsonlSink>(stdout)
+                              : std::make_unique<obs::JsonlSink>(flags.trace);
+    server->set_sink(sink.get());
+  }
+  if (!flags.listen.empty()) {
     // Tests (and shell scripts) discover an ephemeral port from this line.
     std::printf("rls serve: listening on %s:%u\n", flags.bind.c_str(),
                 static_cast<unsigned>(server->port()));

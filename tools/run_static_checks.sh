@@ -19,13 +19,15 @@
 #      oracles; skipped with --quick) plus a replay of the committed
 #      regression corpus under tests/fuzz_corpus/ (always runs) — zero
 #      findings required for both;
-#   5. a perfbench smoke: `perfbench/run.py --workload table6-warm --seed 1
-#      --seconds 1 --trace T`, once with T=0 and once with T=1, must exit 0
-#      and end with a JSON summary line that says "correct": true and names
-#      exactly BENCHMARK.json's end_to_end metrics (T=0) or per_layer
-#      metrics (T=1) (always runs) — catches a renamed CMake target
-#      perfbench links, a changed src/ signature it compiles against, or a
-#      metric that goes missing, before a benchmark run does;
+#   5. a perfbench smoke: `perfbench/run.py --workload W --seed 1
+#      --seconds 1 --trace T` for table6-warm at T=0 and T=1 and for
+#      table6-cold at T=1 (the one workload whose timed phase generates
+#      TS_0 and writes artifacts) must exit 0 and end with a JSON summary
+#      line that says "correct": true and names exactly BENCHMARK.json's
+#      end_to_end metrics (T=0) or per_layer metrics (T=1) (always runs) —
+#      catches a renamed CMake target perfbench links, a changed src/
+#      signature it compiles against, a counter it parses, or a metric
+#      that goes missing, before a benchmark run does;
 #   6. unless --quick: the ASan+UBSan preset build + the rls::store suites
 #      (StoreSerde / StoreArtifact / StoreNegative / StoreCheckpoint /
 #      StoreResume / ...) plus the PackedFsim and campaign-service (Svc*)
@@ -123,14 +125,14 @@ echo "fuzz: clean"
 
 # ---- 5. perfbench smoke -------------------------------------------------
 # Builds perfbench/ (its own Release tree under .bench_build/) from this
-# checkout and runs one short warm workload, untraced and traced. The last
-# stdout line of each run is the JSON summary; its metric names must be
-# exactly the ones BENCHMARK.json declares for that pass.
+# checkout and runs short workloads, untraced and traced. The last stdout
+# line of each run is the JSON summary; its metric names must be exactly
+# the ones BENCHMARK.json declares for that pass.
 perfbench_smoke() {
-  local trace="$1" kind="$2" bench_err bench_out rc=0
-  echo "== perfbench smoke (table6-warm, seed 1, 1 s, trace $trace) =="
+  local workload="$1" trace="$2" kind="$3" bench_err bench_out rc=0
+  echo "== perfbench smoke ($workload, seed 1, 1 s, trace $trace) =="
   bench_err="$(mktemp)"
-  bench_out="$(python3 perfbench/run.py --workload table6-warm --seed 1 \
+  bench_out="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
     --seconds 1 --trace "$trace" 2>"$bench_err")" || rc=$?
   if [[ "$rc" != 0 ]] || ! tail -n 1 <<<"$bench_out" | python3 -c '
 import json, sys
@@ -142,18 +144,20 @@ try:
 except (ValueError, KeyError, TypeError):
     ok = False
 sys.exit(0 if ok else 1)' "$kind"; then
-    echo "perfbench smoke (trace $trace): FAILED (exit $rc, no \"correct\":" \
-      "true summary, or metric names other than BENCHMARK.json $kind)" >&2
+    echo "perfbench smoke ($workload, trace $trace): FAILED (exit $rc, no" \
+      "\"correct\": true summary, or metric names other than BENCHMARK.json" \
+      "$kind)" >&2
     tail -n 20 "$bench_err" >&2
     printf '%s\n' "$bench_out" | tail -n 5 >&2
     fail=1
   else
-    echo "perfbench smoke (trace $trace): ok"
+    echo "perfbench smoke ($workload, trace $trace): ok"
   fi
   rm -f "$bench_err"
 }
-perfbench_smoke 0 end_to_end
-perfbench_smoke 1 per_layer
+perfbench_smoke table6-warm 0 end_to_end
+perfbench_smoke table6-warm 1 per_layer
+perfbench_smoke table6-cold 1 per_layer
 
 # ---- 6. ASan store suites -----------------------------------------------
 if [[ "$quick" == 0 ]]; then
