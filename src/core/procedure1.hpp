@@ -13,9 +13,16 @@
 // `reseed_per_test = false` to seed once per test set instead. Both modes
 // are deterministic and repeatable, as the hardware implementation
 // requires.
+//
+// A TS(I, D_1) is TS_0 plus a schedule per test, so Procedure 1 draws the
+// schedules on their own (plan_limited_scan) and attaches them to copies
+// of the tests only on request (make_limited_scan_set). The packed
+// fault-sim path of Procedure 2 never copies a test: it packs TS_0 once
+// and adds each plan's schedules as new limited-scan step words.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "scan/test.hpp"
 
@@ -32,8 +39,36 @@ struct LimitedScanParams {
 /// The per-(I) seed: seed(I) in the paper.
 std::uint64_t seed_of_iteration(const LimitedScanParams& p);
 
-/// Builds TS(I, D_1): same tests as ts0, with limited scan schedules.
-/// `n_sv` is the number of state variables of the target circuit.
+/// TS(I, D_1) as schedules only: test i of TS_0 takes
+/// `schedules[of_test[i]]`. Under reseed_per_test a test's draws depend on
+/// its length alone, so there is one schedule per distinct length;
+/// otherwise there is one per test.
+struct LimitedScanPlan {
+  std::vector<scan::ScanSchedule> schedules;
+  std::vector<std::uint32_t> of_test;
+
+  [[nodiscard]] const scan::ScanSchedule& of(std::size_t test) const {
+    return schedules[of_test[test]];
+  }
+  /// Tests that shift at least once: the ones a sweep fault-simulates.
+  [[nodiscard]] std::size_t shifted_tests() const noexcept;
+  /// N_SH and the limited-scan time units of the whole set.
+  [[nodiscard]] std::uint64_t total_shift() const noexcept;
+  [[nodiscard]] std::uint64_t limited_scan_units() const noexcept;
+};
+
+/// Draws the schedules of TS(I, D_1) in the generator order of
+/// make_limited_scan_set. `n_sv` is the number of state variables of the
+/// target circuit.
+LimitedScanPlan plan_limited_scan(const scan::TestSet& ts0, std::size_t n_sv,
+                                  const LimitedScanParams& p);
+
+/// Builds TS(I, D_1): same tests as ts0, with the plan's limited scan
+/// schedules attached.
+scan::TestSet make_limited_scan_set(const scan::TestSet& ts0,
+                                    const LimitedScanPlan& plan);
+
+/// Builds TS(I, D_1) from scratch (plan, then attach).
 scan::TestSet make_limited_scan_set(const scan::TestSet& ts0, std::size_t n_sv,
                                     const LimitedScanParams& p);
 

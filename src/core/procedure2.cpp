@@ -97,10 +97,20 @@ Procedure2Result run_procedure2(const sim::CompiledCircuit& cc,
     }
   }
 
+  // Under kPacked, TS_0 is packed once: its batches serve the TS_0
+  // simulation and, with each TS(I, D_1)'s schedules added as step words,
+  // every sweep, so no test is copied and no vector re-transposed.
+  const bool packed = opt.engine == fault::Engine::kPacked;
+  const std::vector<sim::PackedBatch> ts0_batches =
+      packed ? sim::PackedBatch::make_batches(ts0)
+             : std::vector<sim::PackedBatch>{};
+  const std::uint64_t ts0_vectors = ts0.total_vectors();
+
   if (!resumed) {
     // Step 2: simulate TS_0 and drop detected faults.
     const double t_ts0 = ctx ? ctx->elapsed_ms() : 0.0;
-    res.ts0_detected = fsim.run_test_set(ts0, fl);
+    res.ts0_detected = packed ? fsim.run_batches(ts0_batches, fl)
+                              : fsim.run_test_set(ts0, fl);
     res.ncyc0 = scan::n_cyc(ts0, n_sv);
     res.total_detected = fl.num_detected();
     if (ctx && ctx->observed()) {
@@ -139,21 +149,32 @@ Procedure2Result run_procedure2(const sim::CompiledCircuit& cc,
       p.d1 = d1;
       p.base_seed = opt.base_seed;
       p.reseed_per_test = opt.reseed_per_test;
-      const scan::TestSet ts = make_limited_scan_set(ts0, n_sv, p);
+      const LimitedScanPlan plan = plan_limited_scan(ts0, n_sv, p);
       // Only tests that actually contain limited scan operations need to
       // be fault-simulated: a shift-free test is byte-identical to its
       // TS_0 original, which every remaining fault already survived.
       // (The cost accounting below still charges the full set — the
       // hardware applies every test.)
-      scan::TestSet sim_ts;
-      for (const scan::ScanTest& t : ts.tests) {
-        if (t.has_limited_scan()) sim_ts.tests.push_back(t);
-      }
+      const std::size_t sim_tests = plan.shifted_tests();
       const double t_sweep = ctx ? ctx->elapsed_ms() : 0.0;
       const std::uint64_t ge_sweep = fsim.gate_evals();
-      const std::size_t newly = fsim.run_test_set(sim_ts, fl);
+      std::size_t newly = 0;
+      if (packed) {
+        newly = fsim.run_batches(
+            sim::PackedBatch::with_schedules(ts0_batches, plan.schedules,
+                                             plan.of_test),
+            fl);
+      } else {
+        scan::TestSet ts = make_limited_scan_set(ts0, plan);
+        scan::TestSet sim_ts;
+        sim_ts.tests.reserve(sim_tests);
+        for (scan::ScanTest& t : ts.tests) {
+          if (t.has_limited_scan()) sim_ts.tests.push_back(std::move(t));
+        }
+        newly = fsim.run_test_set(sim_ts, fl);
+      }
       if (ctx && ctx->observed()) {
-        ctx->emit_sweep(iteration, d1, sim_ts.tests.size(), newly,
+        ctx->emit_sweep(iteration, d1, sim_tests, newly,
                         fsim.gate_evals() - ge_sweep,
                         ctx->elapsed_ms() - t_sweep);
       }
@@ -162,9 +183,10 @@ Procedure2Result run_procedure2(const sim::CompiledCircuit& cc,
         a.iteration = iteration;
         a.d1 = d1;
         a.detected = newly;
-        a.cycles = scan::n_cyc(ts, n_sv);
-        a.limited_units = ts.limited_scan_units();
-        a.total_vectors = ts.total_vectors();
+        a.cycles =
+            scan::n_cyc(ts0.size(), ts0_vectors, plan.total_shift(), n_sv);
+        a.limited_units = plan.limited_scan_units();
+        a.total_vectors = ts0_vectors;
         res.applied.push_back(a);
         improve = true;
         cum_cycles += a.cycles;

@@ -35,10 +35,12 @@ struct Procedure2Options {
   std::uint32_t max_iterations = 64;
   std::uint64_t base_seed = 0x11D1'5EEDull;
   bool reseed_per_test = true;
-  /// Fault-simulation engine and worker-thread count. Both engines and any
-  /// thread count select identical (I, D_1) pairs; these knobs only trade
-  /// runtime (and let tests cross-check the engines end to end).
-  fault::Engine engine = fault::Engine::kConeDiff;
+  /// Fault-simulation engine and worker-thread count. Every engine and
+  /// any thread count select identical (I, D_1) pairs; these knobs only
+  /// trade runtime (and let tests cross-check the engines end to end).
+  /// kPacked, the campaign default, packs TS_0 once per run and builds
+  /// each TS(I, D_1) as new limited-scan step words over those batches.
+  fault::Engine engine = fault::Engine::kPacked;
   unsigned sim_threads = 0;
   /// Statically-proven-untestable mask over the target faults (1 = prune;
   /// see analysis::sta). When set, run_procedure2 applies it to `fl`
@@ -58,6 +60,8 @@ struct AppliedSet {
   std::uint64_t cycles = 0;          ///< N_cyc(I, D_1)
   std::uint64_t limited_units = 0;   ///< #time units with shift > 0
   std::uint64_t total_vectors = 0;   ///< sum of test lengths
+
+  friend bool operator==(const AppliedSet&, const AppliedSet&) = default;
 };
 
 struct Procedure2Result {

@@ -735,8 +735,8 @@ bool SeqFaultSim::run_packed_fault(const sim::PackedBatch& batch,
   return detected != 0;
 }
 
-std::size_t SeqFaultSim::run_packed_test_set(const scan::TestSet& ts,
-                                             FaultList& fl) {
+std::size_t SeqFaultSim::run_batches(
+    std::span<const sim::PackedBatch> batches, FaultList& fl) {
   const std::uint64_t ge0 = gate_evals_;
   const std::uint64_t fe0 = frontier_evals_;
   const std::uint64_t se0 = sweep_evals_;
@@ -745,8 +745,10 @@ std::size_t SeqFaultSim::run_packed_test_set(const scan::TestSet& ts,
   const std::uint64_t la0 = lanes_active_;
   const auto export_counters = [&](std::size_t faults, std::size_t newly) {
     if (!counters_) return;
+    std::size_t tests = 0;
+    for (const sim::PackedBatch& batch : batches) tests += batch.count();
     counters_->add("fsim.sweeps", 1);
-    counters_->add("fsim.tests", ts.tests.size());
+    counters_->add("fsim.tests", tests);
     counters_->add("fsim.groups", faults);
     counters_->add("fsim.detected", newly);
     counters_->add("fsim.gate_evals", gate_evals_ - ge0);
@@ -760,13 +762,11 @@ std::size_t SeqFaultSim::run_packed_test_set(const scan::TestSet& ts,
 
   std::vector<std::size_t> remaining = fl.remaining_indices();
   const std::size_t n_faults = remaining.size();
-  if (remaining.empty() || ts.tests.empty()) {
+  if (remaining.empty() || batches.empty()) {
     export_counters(n_faults, 0);
     return 0;
   }
 
-  const std::vector<sim::PackedBatch> batches =
-      sim::PackedBatch::make_batches(ts);
   const unsigned hw = threads_ == 0
                           ? std::max(1u, std::thread::hardware_concurrency())
                           : threads_;
@@ -866,7 +866,9 @@ void SeqFaultSim::ensure_workers(unsigned n) {
 }
 
 std::size_t SeqFaultSim::run_test_set(const scan::TestSet& ts, FaultList& fl) {
-  if (engine_ == Engine::kPacked) return run_packed_test_set(ts, fl);
+  if (engine_ == Engine::kPacked) {
+    return run_batches(sim::PackedBatch::make_batches(ts), fl);
+  }
   // Per-call deltas exported to the attached counter registry on every
   // exit path. One branch + a few map updates per run_test_set call; the
   // per-gate hot paths are untouched (see BM_ObsOverhead).

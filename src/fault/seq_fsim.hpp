@@ -21,19 +21,20 @@
 //
 // Three evaluation engines produce bit-identical results:
 //   * kFullSweep re-evaluates every combinational gate at every time unit;
-//   * kConeDiff (default) seeds the faulty machine from the fault-free
-//     reference trace and re-evaluates only gates reachable from a
-//     divergence source (fault sites and flip-flops whose state differs
-//     from the reference), pruning propagation wherever a recomputed word
-//     matches the reference. See DESIGN.md, "Engine".
+//   * kConeDiff (the class default) seeds the faulty machine from the
+//     fault-free reference trace and re-evaluates only gates reachable
+//     from a divergence source (fault sites and flip-flops whose state
+//     differs from the reference), pruning propagation wherever a
+//     recomputed word matches the reference. See DESIGN.md, "Engine".
 //   * kPacked flips the lane convention: 64 *patterns* per word, one
 //     fault per run (PPSFP). The fault-free reference is simulated once
 //     per batch of up to 64 equal-length tests, then each remaining fault
 //     replays the batch through the same cone-restricted frontier with
 //     difference *words* (a frontier entry stays live while any lane
 //     differs) and is dropped at the first observation point whose
-//     difference word intersects the live-lane mask. See DESIGN.md,
-//     "Packed engine".
+//     difference word intersects the live-lane mask. It is the campaign
+//     default (core::Procedure2Options), and run_batches() takes batches
+//     packed once by the caller. See DESIGN.md, "Packed engine".
 #pragma once
 
 #include <cstdint>
@@ -99,6 +100,15 @@ class SeqFaultSim {
   /// marking faults detected (fault dropping between tests).
   /// Returns the number of newly detected faults.
   std::size_t run_test_set(const scan::TestSet& ts, FaultList& fl);
+
+  /// kPacked over pre-built batches (PackedBatch::make_batches of a test
+  /// set, or PackedBatch::with_schedules): simulates them against the
+  /// undetected faults of `fl` exactly as run_test_set simulates the set
+  /// they pack, counters included. The batches are the packed engine's
+  /// input, so this entry point runs kPacked whatever engine() says;
+  /// run_test_set under kPacked is make_batches plus this call.
+  std::size_t run_batches(std::span<const sim::PackedBatch> batches,
+                          FaultList& fl);
 
   /// Simulates one test against an explicit group of <= 64 faults.
   /// Returns the lane mask of detected faults. The lanes of this entry
@@ -252,7 +262,6 @@ class SeqFaultSim {
   void packed_unit_eval(const sim::PackedBatch& batch,
                         const PackedTrace& trace, const PackedOverlay& o,
                         std::size_t unit);
-  std::size_t run_packed_test_set(const scan::TestSet& ts, FaultList& fl);
 
   // Faulty-machine primitives (operate on values_).
   void apply_out_forces(const Overlay& o);

@@ -205,6 +205,16 @@ std::optional<std::string> engine_crosscheck(const OracleEnv& env,
   return std::nullopt;
 }
 
+/// The case's TS_0 (the first half of OracleEnv::ts).
+core::Ts0Config case_ts0_config(const FuzzCase& c) {
+  core::Ts0Config cfg;
+  cfg.l_a = c.options.l_a;
+  cfg.l_b = c.options.l_b;
+  cfg.n = c.options.n;
+  cfg.seed = c.seed ^ 0x750750750ull;
+  return cfg;
+}
+
 /// Light Procedure 2 knobs for the sweep / campaign oracles: enough
 /// structure to exercise the machinery, bounded enough for thousands of
 /// seeds on one CPU.
@@ -291,6 +301,59 @@ std::optional<std::string> sweep_width(const OracleEnv& env,
   if (serial.counters != wide.counters) {
     return "W=1 vs W=" + std::to_string(env.c.options.combo_jobs) +
            ": non-sweep counters differ";
+  }
+  return std::nullopt;
+}
+
+/// Oracle: Procedure 2 under kPacked builds its sweeps from TS_0's
+/// batches plus each TS(I, D_1)'s schedules, compacting lanes where
+/// per-test schedules drop tests. It must commit exactly what the
+/// fullsweep reference commits on the materialized sets: the same pairs,
+/// detections and cycle costs. The reseed mode is drawn per case.
+std::optional<std::string> p2_engines(const OracleEnv& env,
+                                      std::uint64_t* work) {
+  core::Procedure2Options p2 = small_p2(env.c);
+  p2.reseed_per_test = rls::rand::Rng(env.c.seed ^ 0x9E5EED).next_bit();
+  const scan::TestSet ts0 = core::make_ts0(env.nl, case_ts0_config(env.c));
+
+  struct Run {
+    core::Procedure2Result result;
+    std::vector<std::uint8_t> detected;
+  };
+  const auto run = [&](fault::Engine engine, unsigned threads) {
+    core::Procedure2Options o = p2;
+    o.engine = engine;
+    o.sim_threads = threads;
+    fault::FaultList fl(env.universe);
+    core::RunContext ctx;
+    Run r{core::run_procedure2(env.cc, ts0, fl, o, &ctx), fl.detected_flags()};
+    *work += ctx.counters().value("fsim.gate_evals");
+    return r;
+  };
+  const Run ref = run(fault::Engine::kFullSweep, 1);
+  const Run packed = run(fault::Engine::kPacked, env.c.options.threads);
+  const std::string mode =
+      p2.reseed_per_test ? "reseed per test" : "seeded per set";
+  const core::Procedure2Result& a = packed.result;
+  const core::Procedure2Result& b = ref.result;
+  if (a.ts0_detected != b.ts0_detected || a.ncyc0 != b.ncyc0) {
+    return mode + ": packed TS_0 differs from fullsweep";
+  }
+  if (a.applied != b.applied) {
+    const auto diff = std::mismatch(a.applied.begin(), a.applied.end(),
+                                    b.applied.begin(), b.applied.end());
+    return mode + ": committed (I, D_1) pairs differ from pair " +
+           std::to_string(diff.first - a.applied.begin()) + " on (packed " +
+           std::to_string(a.applied.size()) + ", fullsweep " +
+           std::to_string(b.applied.size()) + " pairs)";
+  }
+  if (a.total_detected != b.total_detected || a.complete != b.complete ||
+      packed.detected != ref.detected) {
+    std::size_t first = 0;
+    const std::size_t n = count_diffs(ref.detected, packed.detected, &first);
+    return mode + ": packed detections differ from fullsweep on " +
+           std::to_string(n) + "/" + std::to_string(ref.detected.size()) +
+           " faults (first at " + std::to_string(first) + ")";
   }
   return std::nullopt;
 }
@@ -715,11 +778,7 @@ std::vector<Finding> run_case_impl(const FuzzCase& c, const FuzzOptions& opt,
       }
       cc.emplace(*nl);
       universe = fault::collapsed_universe(*nl);
-      core::Ts0Config cfg;
-      cfg.l_a = c.options.l_a;
-      cfg.l_b = c.options.l_b;
-      cfg.n = c.options.n;
-      cfg.seed = c.seed ^ 0x750750750ull;
+      const core::Ts0Config cfg = case_ts0_config(c);
       ts = core::make_ts0(*nl, cfg);
       core::LimitedScanParams lp;
       lp.iteration = 1;
@@ -744,6 +803,9 @@ std::vector<Finding> run_case_impl(const FuzzCase& c, const FuzzOptions& opt,
 
   bool alive =
       oracle("engine-crosscheck", [&] { return engine_crosscheck(env, &work); });
+  if (alive) {
+    alive = oracle("p2-engines", [&] { return p2_engines(env, &work); });
+  }
   if (alive) {
     alive = oracle("sta-soundness", [&] { return sta_soundness(env, &work); });
   }

@@ -19,6 +19,14 @@
 //                      must be identical per test set, in per-cycle AND
 //                      MISR-signature observation, at 1 and at the case's
 //                      randomized thread count;
+//   p2-engines         run_procedure2 on the case's TS_0 under kPacked
+//                      (sweeps built from TS_0's batches plus each
+//                      TS(I, D_1)'s schedules) must commit the same
+//                      (I, D_1) pairs, detections and cycle costs as under
+//                      kFullSweep (materialized sets), with
+//                      reseed_per_test drawn per case; fuzz cases have
+//                      n <= 10 and L_A < L_B, so every batch is partial,
+//                      which is where lane compaction could slip;
 //   sta-soundness      every fault rls::analysis::sta proves untestable
 //                      must be undetected by kFullSweep on the case's test
 //                      sets, and the sta report must pass its own

@@ -10,7 +10,12 @@ std::uint64_t n_cyc0(std::uint64_t n_sv, std::uint64_t l_a, std::uint64_t l_b,
 }
 
 std::uint64_t n_cyc(const TestSet& ts, std::uint64_t n_sv) {
-  return (ts.size() + 1) * n_sv + ts.total_vectors() + ts.total_shift();
+  return n_cyc(ts.size(), ts.total_vectors(), ts.total_shift(), n_sv);
+}
+
+std::uint64_t n_cyc(std::uint64_t num_tests, std::uint64_t total_vectors,
+                    std::uint64_t n_sh, std::uint64_t n_sv) {
+  return (num_tests + 1) * n_sv + total_vectors + n_sh;
 }
 
 double average_limited_scan_units(const TestSet& ts) {

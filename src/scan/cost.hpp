@@ -20,6 +20,11 @@ std::uint64_t n_cyc0(std::uint64_t n_sv, std::uint64_t l_a, std::uint64_t l_b,
 /// chain: (|TS|+1) * N_SV complete-scan cycles + total vectors + N_SH.
 std::uint64_t n_cyc(const TestSet& ts, std::uint64_t n_sv);
 
+/// The same count from a set's totals: `num_tests` tests of
+/// `total_vectors` vectors with `n_sh` limited-scan shifts.
+std::uint64_t n_cyc(std::uint64_t num_tests, std::uint64_t total_vectors,
+                    std::uint64_t n_sh, std::uint64_t n_sv);
+
 /// N_SH(TS): limited-scan shift cycles only.
 inline std::uint64_t n_sh(const TestSet& ts) { return ts.total_shift(); }
 

@@ -53,6 +53,29 @@ struct ScanTest {
   }
 };
 
+/// A limited-scan schedule without the test it applies to: shift(u) for
+/// every time unit, as in ScanTest::shift, and the bits of all shifts in
+/// time order (unit u's shift(u) bits follow those of the units before
+/// it). Procedure 1 draws one per test, or one per test length when it
+/// re-seeds every test alike.
+struct ScanSchedule {
+  std::vector<std::uint32_t> shift;  ///< per-unit shift counts
+  BitVector bits;                    ///< sum(shift) scanned-in bits
+
+  /// True if any limited scan operation is scheduled.
+  [[nodiscard]] bool has_limited_scan() const noexcept {
+    return !bits.empty();
+  }
+  [[nodiscard]] std::uint64_t total_shift() const noexcept {
+    return bits.size();
+  }
+  [[nodiscard]] std::size_t limited_scan_units() const noexcept {
+    std::size_t n = 0;
+    for (std::uint32_t s : shift) n += (s > 0);
+    return n;
+  }
+};
+
 struct TestSet {
   std::vector<ScanTest> tests;
 

@@ -12,9 +12,15 @@
 // high lanes are dead: live() is the tail mask, every packed stimulus
 // word is zero in dead lanes, and consumers must mask observations with
 // it so dead lanes can never report detections.
+//
+// A limited-scan set TS(I, D_1) differs from TS_0 only in its schedules,
+// so with_schedules() builds its batches from TS_0's by moving the
+// stimulus words and adding step words: the result equals make_batches()
+// of the materialized set, word for word.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "scan/test.hpp"
@@ -83,6 +89,20 @@ class PackedBatch {
   /// test `first + j`; a length change starts a new batch (the packed
   /// reference machine needs every lane alive at every time unit).
   static std::vector<PackedBatch> make_batches(const scan::TestSet& ts);
+
+  /// The batches make_batches() builds for a limited-scan copy of the set
+  /// that `base` packs (make_batches of a set without limited scan),
+  /// keeping only the copies that shift: test i of that set takes
+  /// `schedules[of_test[i]]`, a test whose schedule never shifts is
+  /// dropped, and the rest are re-packed in order. The scan-in and input
+  /// words are moved over from `base` in runs of lanes, never
+  /// re-transposed from bits; only the step words are new.
+  static std::vector<PackedBatch> with_schedules(
+      std::span<const PackedBatch> base,
+      std::span<const scan::ScanSchedule> schedules,
+      std::span<const std::uint32_t> of_test);
+
+  friend bool operator==(const PackedBatch&, const PackedBatch&) = default;
 
  private:
   std::size_t first_ = 0;

@@ -2,13 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cli/flags.hpp"
+#include "core/procedure2.hpp"
 #include "fault/seq_fsim.hpp"
+#include "svc/request.hpp"
 
 namespace rls::cli {
 namespace {
@@ -189,10 +192,9 @@ TEST(CliFlags, EngineFlagParsesAllThreeEnginesAndNamesValidSet) {
   // The CLI maps --engine through fault::parse_engine and reports the
   // full valid set on mismatch (the same construction rls_cli uses).
   FlagParser fp;
-  std::string engine = "conediff";
+  std::string engine = fault::engine_name(core::Procedure2Options{}.engine);
   fp.add_string("engine", &engine,
-                "fault-simulation engine: conediff (default), fullsweep, "
-                "or packed");
+                engine + " (default); one of " + fault::engine_choices());
   const std::string help = fp.help();
   EXPECT_NE(help.find("conediff"), std::string::npos);
   EXPECT_NE(help.find("fullsweep"), std::string::npos);
@@ -222,6 +224,26 @@ TEST(CliFlags, EngineFlagParsesAllThreeEnginesAndNamesValidSet) {
   EXPECT_NE(what.find("packed"), std::string::npos);
   EXPECT_NE(what.find("bogus"), std::string::npos);
 }
+
+#ifdef RLS_CLI_PATH
+TEST(CliFlags, RunWithoutEngineResolvesToTheServiceDefault) {
+  // `rls run` without --engine and a svc request without "engine" must
+  // pick the same engine: the CLI derives its default from the library's.
+  std::FILE* p = ::popen(RLS_CLI_PATH " run s27 --dump-request", "r");
+  ASSERT_NE(p, nullptr);
+  std::string line;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, p) != nullptr) line += buf;
+  ASSERT_EQ(::pclose(p), 0) << line;
+  ASSERT_FALSE(line.empty());
+  if (line.back() == '\n') line.pop_back();
+  const svc::CampaignRequest cli = svc::parse_request(line, "rls run");
+  const svc::CampaignRequest bare =
+      svc::parse_request(R"({"schema":2,"circuit":"s27"})", "bare");
+  EXPECT_EQ(cli.options.p2.engine, bare.options.p2.engine);
+  EXPECT_EQ(cli.options.p2.engine, core::Procedure2Options{}.engine);
+}
+#endif  // RLS_CLI_PATH
 
 }  // namespace
 }  // namespace rls::cli

@@ -6,6 +6,7 @@
 #include "core/ts0.hpp"
 #include "gen/registry.hpp"
 #include "scan/cost.hpp"
+#include "sim/packed_logic.hpp"
 
 namespace rls::core {
 namespace {
@@ -177,6 +178,108 @@ TEST(Procedure1, ScanBitsMatchShifts) {
       EXPECT_EQ(t.scan_bits[u].size(), t.shift[u]);
     }
   }
+}
+
+TEST(Procedure1, PlanMatchesMaterializedSet) {
+  // A plan is the set minus the copied tests: attaching its schedules
+  // gives make_limited_scan_set's output, and its totals are the set's.
+  const netlist::Netlist nl = gen::make_circuit("s298");
+  const scan::TestSet ts0 = base_set(nl, 40);
+  const std::size_t n_sv = nl.num_state_vars();
+  for (const bool reseed : {true, false}) {
+    LimitedScanParams p;
+    p.iteration = 2;
+    p.d1 = 3;
+    p.reseed_per_test = reseed;
+    const LimitedScanPlan plan = plan_limited_scan(ts0, n_sv, p);
+    const scan::TestSet ts = make_limited_scan_set(ts0, n_sv, p);
+    ASSERT_EQ(plan.of_test.size(), ts.size());
+    // One schedule per distinct length when re-seeding, else per test.
+    EXPECT_EQ(plan.schedules.size(), reseed ? 2u : ts.size());
+    std::size_t shifted = 0;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      const scan::ScanSchedule& s = plan.of(i);
+      EXPECT_EQ(s.shift, ts.tests[i].shift);
+      scan::BitVector bits;
+      for (const scan::BitVector& b : ts.tests[i].scan_bits) {
+        bits.insert(bits.end(), b.begin(), b.end());
+      }
+      EXPECT_EQ(s.bits, bits);
+      shifted += ts.tests[i].has_limited_scan();
+    }
+    EXPECT_EQ(plan.shifted_tests(), shifted);
+    EXPECT_EQ(plan.total_shift(), ts.total_shift());
+    EXPECT_EQ(plan.limited_scan_units(), ts.limited_scan_units());
+    EXPECT_EQ(scan::n_cyc(ts0.size(), ts0.total_vectors(), plan.total_shift(),
+                          n_sv),
+              scan::n_cyc(ts, n_sv));
+  }
+}
+
+/// The shifting tests of a materialized TS(I, D_1): what a sweep simulates.
+scan::TestSet shifted_only(const scan::TestSet& ts) {
+  scan::TestSet out;
+  for (const scan::ScanTest& t : ts.tests) {
+    if (t.has_limited_scan()) out.tests.push_back(t);
+  }
+  return out;
+}
+
+TEST(SweepBatches, ScheduledTs0BatchesEqualPackedShiftedSet) {
+  // The packed sweep input (TS_0 packed once, plus each plan's step words)
+  // must equal make_batches of the filtered materialized set word for
+  // word, across partial and multi-batch lengths, L_A == L_B, and lanes
+  // compacted where per-test schedules drop single tests.
+  const netlist::Netlist nl = gen::make_circuit("s298");
+  const std::size_t n_sv = nl.num_state_vars();
+  std::size_t whole_length_free = 0;
+  std::size_t compacted = 0;
+  for (const auto& [la, lb] : {std::pair<std::size_t, std::size_t>{4, 12},
+                               {8, 8},
+                               {2, 16}}) {
+    for (const std::size_t n : {1u, 33u, 64u, 100u, 128u}) {
+      Ts0Config cfg;
+      cfg.l_a = la;
+      cfg.l_b = lb;
+      cfg.n = n;
+      const scan::TestSet ts0 = make_ts0(nl, cfg);
+      const std::vector<sim::PackedBatch> base =
+          sim::PackedBatch::make_batches(ts0);
+      for (const bool reseed : {true, false}) {
+        for (std::uint32_t iteration = 1; iteration <= 4; ++iteration) {
+          for (std::uint32_t d1 = 1; d1 <= 10; ++d1) {
+            LimitedScanParams p;
+            p.iteration = iteration;
+            p.d1 = d1;
+            p.reseed_per_test = reseed;
+            const LimitedScanPlan plan = plan_limited_scan(ts0, n_sv, p);
+            const scan::TestSet sim_ts =
+                shifted_only(make_limited_scan_set(ts0, n_sv, p));
+            const std::vector<sim::PackedBatch> got =
+                sim::PackedBatch::with_schedules(base, plan.schedules,
+                                                 plan.of_test);
+            const std::vector<sim::PackedBatch> want =
+                sim::PackedBatch::make_batches(sim_ts);
+            ASSERT_EQ(got.size(), want.size())
+                << "la=" << la << " lb=" << lb << " n=" << n
+                << " reseed=" << reseed << " I=" << iteration << " d1=" << d1;
+            for (std::size_t b = 0; b < got.size(); ++b) {
+              ASSERT_TRUE(got[b] == want[b])
+                  << "batch " << b << " la=" << la << " lb=" << lb
+                  << " n=" << n << " reseed=" << reseed << " I=" << iteration
+                  << " d1=" << d1;
+            }
+            EXPECT_EQ(plan.shifted_tests(), sim_ts.size());
+            if (reseed && la != lb && sim_ts.size() == n) ++whole_length_free;
+            if (!reseed && sim_ts.size() < ts0.size()) ++compacted;
+          }
+        }
+      }
+    }
+  }
+  // The grid must reach the cases it exists for.
+  EXPECT_GT(whole_length_free, 0u);
+  EXPECT_GT(compacted, 0u);
 }
 
 TEST(Procedure1, D1ZeroThrows) {

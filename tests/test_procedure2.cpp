@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/procedure2.hpp"
+#include "core/run_context.hpp"
 #include "core/ts0.hpp"
 #include "fault/collapse.hpp"
 #include "gen/registry.hpp"
+#include "obs/trace.hpp"
 #include "scan/cost.hpp"
 
 namespace rls::core {
@@ -181,6 +183,87 @@ INSTANTIATE_TEST_SUITE_P(
     CircuitsAndThreads, P2EngineEquivalence,
     ::testing::Combine(::testing::Values("s298", "s953", "s5378"),
                        ::testing::Values(1u, 4u)));
+
+TEST(Procedure2, PackedMatchesFullSweepWithoutReseeding) {
+  // P2EngineEquivalence runs the default reseed mode. Seeding once per set
+  // gives every test its own schedule, so the packed sweeps compact lanes
+  // (N = 100 leaves partial and multi-batch lengths): the committed pairs,
+  // detections and costs must still equal the fullsweep reference's.
+  for (const char* name : {"s298", "s953"}) {
+    P2Fixture full = make_setup(name, 8, 16, 100);
+    P2Fixture packed = make_setup(name, 8, 16, 100);
+    Procedure2Options of, op;
+    of.max_iterations = op.max_iterations = 3;
+    of.reseed_per_test = op.reseed_per_test = false;
+    of.sim_threads = op.sim_threads = 1;
+    of.engine = fault::Engine::kFullSweep;
+    op.engine = fault::Engine::kPacked;
+    const Procedure2Result rf = run_procedure2(*full.cc, full.ts0, full.fl, of);
+    const Procedure2Result rp =
+        run_procedure2(*packed.cc, packed.ts0, packed.fl, op);
+    EXPECT_EQ(rp.ts0_detected, rf.ts0_detected) << name;
+    EXPECT_EQ(rp.total_detected, rf.total_detected) << name;
+    EXPECT_EQ(rp.complete, rf.complete) << name;
+    EXPECT_EQ(rp.total_cycles(), rf.total_cycles()) << name;
+    ASSERT_FALSE(rp.applied.empty()) << name;
+    EXPECT_TRUE(rp.applied == rf.applied) << name;
+    for (std::size_t i = 0; i < full.fl.size(); ++i) {
+      ASSERT_EQ(packed.fl.detected(i), full.fl.detected(i)) << name;
+    }
+  }
+}
+
+/// Value of an unsigned event field (0 when absent).
+std::uint64_t field_u64(const obs::TraceEvent& ev, const char* key) {
+  for (const auto& [k, v] : ev.fields) {
+    if (k == key) return std::get<std::uint64_t>(v);
+  }
+  return 0;
+}
+
+TEST(Procedure2, SweepCostsMatchMaterializedSets) {
+  // Procedure 2 costs each TS(I, D_1) from its schedules alone; every
+  // sweep's sim_tests and every committed pair's cycles, limited units
+  // and vectors must equal those of the materialized set.
+  for (const bool reseed : {true, false}) {
+    P2Fixture s = make_setup("s208", 4, 12, 33);
+    Procedure2Options opt;
+    opt.max_iterations = 4;
+    opt.reseed_per_test = reseed;
+    obs::VectorSink sink;
+    RunContext ctx;
+    ctx.set_timing(false);
+    ctx.set_sink(&sink);
+    const Procedure2Result res = run_procedure2(*s.cc, s.ts0, s.fl, opt, &ctx);
+    const std::size_t n_sv = s.nl.num_state_vars();
+    const auto materialize = [&](std::uint64_t iteration, std::uint64_t d1) {
+      LimitedScanParams p;
+      p.iteration = static_cast<std::uint32_t>(iteration);
+      p.d1 = static_cast<std::uint32_t>(d1);
+      p.base_seed = opt.base_seed;
+      p.reseed_per_test = reseed;
+      return make_limited_scan_set(s.ts0, n_sv, p);
+    };
+    std::size_t sweeps = 0;
+    for (const obs::TraceEvent& ev : sink.events()) {
+      if (ev.type != "sweep") continue;
+      ++sweeps;
+      const scan::TestSet ts =
+          materialize(field_u64(ev, "iter"), field_u64(ev, "d1"));
+      std::size_t shifted = 0;
+      for (const scan::ScanTest& t : ts.tests) shifted += t.has_limited_scan();
+      EXPECT_EQ(field_u64(ev, "sim_tests"), shifted) << "reseed=" << reseed;
+    }
+    EXPECT_GT(sweeps, 0u);
+    ASSERT_FALSE(res.applied.empty());
+    for (const AppliedSet& a : res.applied) {
+      const scan::TestSet ts = materialize(a.iteration, a.d1);
+      EXPECT_EQ(a.cycles, scan::n_cyc(ts, n_sv)) << "reseed=" << reseed;
+      EXPECT_EQ(a.limited_units, ts.limited_scan_units());
+      EXPECT_EQ(a.total_vectors, ts.total_vectors());
+    }
+  }
+}
 
 TEST(Procedure2, Deterministic) {
   P2Fixture a = make_setup("s27", 8, 16, 16);

@@ -18,7 +18,7 @@
 // `<circuit>` is a registry name (s27, s208, ..., b11) or a path to an
 // ISCAS-89 .bench file. Common flags (uniform across circuit-taking
 // subcommands):
-//   --engine=conediff|fullsweep|packed   fault-simulation engine
+//   --engine=packed|conediff|fullsweep   fault-simulation engine (packed)
 //   --threads=N                   simulation worker threads (0 = hardware)
 //   --seed=S                      base seed (Procedure 1 + detectability)
 //   --trace=FILE                  JSONL event stream ("-" = stdout)
@@ -83,7 +83,9 @@ netlist::Netlist load(const std::string& which) {
 /// wiring they configure. Register with `add_to`, then `configure` a
 /// RunContext after parsing (the sinks outlive the returned object).
 struct CommonFlags {
-  std::string engine = "conediff";
+  /// The library's campaign default, so `rls` and svc requests without an
+  /// engine resolve alike.
+  std::string engine = fault::engine_name(core::Procedure2Options{}.engine);
   std::uint64_t threads = 0;
   std::uint64_t seed = 0;
   bool have_seed = false;
@@ -95,7 +97,7 @@ struct CommonFlags {
 
   void add_to(cli::FlagParser& fp) {
     fp.add_string("engine", &engine,
-                  "conediff (default), fullsweep, or packed");
+                  engine + " (default); one of " + fault::engine_choices());
     fp.add_uint("threads", &threads, "sim worker threads (0 = hardware)");
     fp.add_string("seed", &seed_text, "base seed (decimal)");
     fp.add_string("trace", &trace, "write JSONL event trace to FILE");
@@ -859,7 +861,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: rls <list|stats|bench|faults|cop|tables|run|batch|"
                "serve|client|lint|analyze|fuzz> [circuit|file] [options]\n"
-               "common options: --engine=conediff|fullsweep|packed "
+               "common options: --engine=packed|conediff|fullsweep "
                "--threads=N "
                "--seed=S --trace=FILE --progress\n"
                "run options:    --la=N --lb=N --n=N --max-iters=N --d1-desc "

@@ -69,10 +69,13 @@ fi
 
 # ---- 2. rls lint over the circuit registry ------------------------------
 echo "== rls lint (registry circuits) =="
-if [[ ! -x build/tools/rls ]]; then
+# Configure only when there is no tree, but always build: the build is a
+# no-op when rls is current, and lint, analyze and the fuzz smoke must
+# never run a binary older than the sources.
+if [[ ! -f build/CMakeCache.txt ]]; then
   cmake --preset release >/dev/null
-  cmake --build build --target rls -j"$(nproc)" >/dev/null
 fi
+cmake --build build --target rls -j"$(nproc)" >/dev/null
 while IFS= read -r circuit; do
   # Structural errors exit 1, warnings exit 2; both fail the gate — except
   # s420t, whose tied inputs synthesize dead logic on purpose, so the sta
